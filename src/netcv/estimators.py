@@ -70,12 +70,11 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
     observed pairs with labels {a+1, b+1}; Den counts the same pairs,
     weighted by weights_i * weights_j when weights is given.
     """
-    A = np.asarray(A, dtype=float)
     N1 = np.asarray(N1, dtype=np.int64)
     N2 = np.asarray(N2, dtype=np.int64)
     g1 = g[N1]
     H1 = _onehot(g1, k)
-    R = A[N1, :]
+    R = np.asarray(A)[N1, :].astype(float, copy=False)
     R[np.arange(N1.size), N1] = 0.0    # self-pairs are never observed pairs
     S = H1.T @ R @ _onehot(g, k)       # ordered sums, source in N1
     S11 = H1.T @ R[:, N1] @ H1         # ordered sums within N1
@@ -179,7 +178,8 @@ def predict_P(fit, i: int, j: int) -> float:
 
 
 def predict_P_matrix(fit) -> np.ndarray:
-    """Full n x n matrix of clamped predicted probabilities, zero diagonal."""
+    """Clamped predicted probabilities among the nodes of fit.g_hat (n x n),
+    zero diagonal."""
     g0 = fit.g_hat - 1
     if isinstance(fit, DcbmFit):
         P = fit.B_prime_hat[np.ix_(g0, g0)] * np.outer(fit.psi_prime_hat,

@@ -23,8 +23,7 @@ def check_adjacency(A: np.ndarray) -> None:
         raise ValueError("adjacency matrix must be symmetric")
     if np.any(np.diag(A) != 0):
         raise ValueError("adjacency matrix must have zero diagonal")
-    vals = np.unique(A)
-    if not np.isin(vals, (0, 1)).all():
+    if np.count_nonzero(A == 0) + np.count_nonzero(A == 1) != A.size:
         raise ValueError("adjacency entries must be 0 or 1")
 
 

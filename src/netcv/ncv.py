@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -112,19 +112,20 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
         raise ValueError(f"fold {v} has {Nv.size} node(s); need at least 2")
     n = A.shape[0]
     fit_rows = np.setdiff1d(np.arange(n), Nv)
-    rect = A[fit_rows, :]
+    rect = A[fit_rows, :] if basis is None else None
     if candidate.model == "sbm":
         g_hat = spectral_cluster_rect(rect, candidate.K, rng, basis=basis)
         fit = estimate_B_sbm(A, fit_rows, Nv, g_hat, candidate.K)
+        held_out = replace(fit, g_hat=fit.g_hat[Nv])
     else:
         g_hat, psi = spherical_spectral_cluster_rect(rect, candidate.K, rng,
                                                      basis=basis)
         fit = estimate_dcbm(A, fit_rows, Nv, g_hat, psi, candidate.K)
-    P = predict_P_matrix(fit)
-    block = np.ix_(Nv, Nv)
+        held_out = replace(fit, g_hat=fit.g_hat[Nv],
+                           psi_prime_hat=fit.psi_prime_hat[Nv])
     off = ~np.eye(Nv.size, dtype=bool)
-    x = np.asarray(A, dtype=float)[block][off]
-    return float(_loss_array(kind, x, P[block][off]).sum())
+    x = np.asarray(A[np.ix_(Nv, Nv)], dtype=float)[off]
+    return float(_loss_array(kind, x, predict_P_matrix(held_out)[off]).sum())
 
 
 def _cell_rng(seed, candidate, v):

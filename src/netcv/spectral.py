@@ -1,5 +1,9 @@
 """Truncated SVD of rectangular matrices and row-clustering routines.
 
+The top singular vectors of a slice come from ARPACK's implicitly
+restarted Lanczos iteration on the sparse slice, so a fold costs a few
+sparse products rather than a full dense decomposition.
+
 Community structure is recovered from the top-K right singular vectors
 of a rectangular slice of the adjacency matrix: k-means on the raw
 rows for the plain block model, and k-median on the row-normalized
@@ -13,12 +17,10 @@ import logging
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 logger = logging.getLogger(__name__)
-
-# Above this size the dense decomposition gives way to deflated power
-# iteration on M^T M.
-DENSE_SVD_LIMIT = 2000
 
 _ZERO_ROW_TOL = 1e-12
 
@@ -43,55 +45,39 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _power_iteration_svd(M: np.ndarray, k: int, tol: float = 1e-10, max_iter: int = 300):
-    """Top-k right singular pairs by deflated power iteration on M^T M.
-
-    Initialization is drawn from a fixed-seed generator, so the result
-    is deterministic given M.
-    """
-    n = M.shape[1]
-    rng = np.random.default_rng(0)
-    V = np.zeros((n, k))
-    sigma = np.zeros(k)
-    for j in range(k):
-        v = rng.standard_normal(n)
-        v -= V[:, :j] @ (V[:, :j].T @ v)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            w = M.T @ (M @ v)
-            w -= V[:, :j] @ (V[:, :j].T @ w)
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                # v lies in the null space; any deflated unit vector will do
-                break
-            v_new = w / norm_w
-            delta = min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v))
-            v = v_new
-            if delta < tol:
-                break
-        V[:, j] = v
-        sigma[j] = np.linalg.norm(M @ v)
-    order = np.argsort(-sigma, kind="stable")
-    return V[:, order], sigma[order]
-
-
-def top_k_right_singular(M: np.ndarray, k: int) -> SingularBasis:
+def top_k_right_singular(M, k: int) -> SingularBasis:
     """Top-k right singular vectors and values of a rectangular matrix.
 
-    Dense decomposition when min(M.shape) <= DENSE_SVD_LIMIT, deflated
-    power iteration beyond that.  Column signs follow a fixed
-    convention (largest-magnitude entry positive) for reproducibility.
+    M may be dense or sparse; it is converted to float CSR.  The top-k
+    eigenvectors of M^T M come from ARPACK's implicitly restarted
+    Lanczos iteration to machine precision; the start vector and any
+    restart vectors ARPACK draws come from a fixed-seed generator, so
+    the result is deterministic given M.  Matrices too small for a
+    Lanczos basis to be smaller than the whole space take a dense SVD,
+    and an all-zero matrix gives sigma = 0 with the first k unit
+    vectors.  Column signs follow a fixed convention (largest-magnitude
+    entry positive) for reproducibility.
     """
-    M = np.asarray(M, dtype=float)
-    if k < 1 or k > min(M.shape):
+    M = csr_array(M, dtype=float)
+    m, n = M.shape
+    if k < 1 or k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(M.shape), got k={k}, shape={M.shape}")
-    if min(M.shape) <= DENSE_SVD_LIMIT:
-        _, s, Vt = np.linalg.svd(M, full_matrices=False)
-        U = Vt[:k].T.copy()
-        sigma = s[:k].copy()
-    else:
-        U, sigma = _power_iteration_svd(M, k)
-    return SingularBasis(_fix_signs(U), sigma)
+    if not M.data.any():
+        return SingularBasis(np.eye(n, k), np.zeros(k))
+    if min(m, n) <= max(2 * k + 1, 20):
+        _, s, Vt = np.linalg.svd(M.toarray(), full_matrices=False)
+        return SingularBasis(_fix_signs(Vt[:k].T.copy()), s[:k].copy())
+    gram = LinearOperator((n, n), dtype=float, matvec=lambda x: M.T @ (M @ x))
+    try:
+        _, Q = eigsh(gram, k=k, rng=np.random.default_rng(0))
+    except ArpackError as exc:
+        raise RuntimeError(f"ARPACK failed on a {m}x{n} slice with k={k}: {exc}") from exc
+    # ARPACK's eigenvectors are orthonormal only up to rounding.  With Q
+    # orthonormal and M Q = W diag(s) Z^T, the columns of Q Z are the
+    # right singular vectors, in the nonincreasing order of s.
+    Q = np.linalg.qr(Q)[0]
+    _, s, Zt = np.linalg.svd(M @ Q, full_matrices=False)
+    return SingularBasis(_fix_signs(Q @ Zt.T), s)
 
 
 def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool) -> np.ndarray:
@@ -205,6 +191,8 @@ def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> n
         if np.linalg.norm(y_new - y) < tol:
             return y_new
         y = y_new
+    logger.warning("geometric median of %d points stopped at max_iter=%d "
+                   "before the step fell below tol=%g", P.shape[0], max_iter, tol)
     return y
 
 

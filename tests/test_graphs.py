@@ -43,6 +43,14 @@ def test_check_adjacency_rejects_self_loop():
         check_adjacency(A)
 
 
+@pytest.mark.parametrize("value", [2, -1, 0.5])
+def test_check_adjacency_rejects_non_binary(value):
+    A = np.zeros((3, 3))
+    A[0, 1] = A[1, 0] = value
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        check_adjacency(A)
+
+
 def test_check_membership_bounds():
     check_membership(np.array([1, 2, 1]), 2)
     with pytest.raises(ValueError):

@@ -72,6 +72,45 @@ def test_fold_loss_is_ordered_pair_sum():
     assert np.isclose(got, 2 * unordered)
 
 
+def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
+    """The held-out loss read off the full n x n predicted matrix, with the
+    whole adjacency matrix cast to float."""
+    from netcv.estimators import estimate_B_sbm, estimate_dcbm, predict_P_matrix
+    from netcv.ncv import _loss_array
+    from netcv.spectral import spectral_cluster_rect, spherical_spectral_cluster_rect
+
+    Af = np.asarray(A, dtype=float)
+    Nv = np.asarray(partition[v])
+    rows = np.setdiff1d(np.arange(A.shape[0]), Nv)
+    if cand.model == "sbm":
+        g = spectral_cluster_rect(Af[rows, :], cand.K, rng, basis=basis)
+        fit = estimate_B_sbm(Af, rows, Nv, g, cand.K)
+    else:
+        g, psi = spherical_spectral_cluster_rect(Af[rows, :], cand.K, rng, basis=basis)
+        fit = estimate_dcbm(Af, rows, Nv, g, psi, cand.K)
+    block = np.ix_(Nv, Nv)
+    off = ~np.eye(Nv.size, dtype=bool)
+    return float(_loss_array(kind, Af[block][off], predict_P_matrix(fit)[block][off]).sum())
+
+
+@pytest.mark.parametrize("kind", ["squared", "negloglik"])
+def test_fold_loss_bitwise_equals_full_matrix_formula(kind):
+    from netcv.models import sim3_params
+    from netcv.spectral import top_k_right_singular
+
+    rng = np.random.default_rng(21)
+    A = sample(sim3_params(150, 3, "dcbm", rng), rng)
+    partition = partition_nodes(150, 3, np.random.default_rng(22))
+    for v, Nv in enumerate(partition):
+        basis = top_k_right_singular(A[np.setdiff1d(np.arange(150), Nv), :], 3)
+        for cand in candidate_grid(("sbm", "dcbm"), 3):
+            got = fold_fit_validate(A, partition, v, cand, kind,
+                                    np.random.default_rng(23), basis=basis)
+            ref = full_matrix_fold_loss(A, partition, v, cand, kind,
+                                        np.random.default_rng(23), basis)
+            assert got == ref, (v, cand)
+
+
 def test_fold_too_small_rejected():
     A, _ = planted_A(10)
     partition = [np.array([0]), np.arange(1, 10)]

@@ -1,13 +1,19 @@
 """Truncated SVD and the two clustering routines."""
 
 import itertools
+import logging
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
-from netcv.spectral import (_lloyd, _kmedian_once, _power_iteration_svd,
+from netcv.spectral import (_lloyd, _kmedian_once,
                             geometric_median, kmeans, kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
@@ -102,23 +108,86 @@ def test_svd_k_bounds():
         top_k_right_singular(np.eye(3), 0)
 
 
-def test_power_iteration_matches_dense_reference():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((50, 80))
-    _, s_ref, Vt_ref = np.linalg.svd(M, full_matrices=False)
-    U, sigma = _power_iteration_svd(M, 3)
-    assert np.allclose(sigma, s_ref[:3], atol=1e-6)
-    for j in range(3):
-        align = abs(U[:, j] @ Vt_ref[j])
-        assert align > 1 - 1e-6
+def sparse_slices():
+    """Seeded 0/1 slices: min(shape) on both sides of the dense cut-off,
+    tall and wide, rank-deficient, with zero rows, one and two edges."""
+    rng = np.random.default_rng(14)
+    slices = [(rng.random(shape) < p).astype(float) for shape, p in
+              [((12, 18), 0.3), ((20, 30), 0.2), ((40, 60), 0.1),
+               ((90, 40), 0.1), ((300, 450), 0.02)]]
+    H = (rng.random((120, 3)) < 0.5).astype(float)
+    slices.append(np.minimum(H @ (rng.random((3, 180)) < 0.5), 1.0))  # rank <= 3
+    M = (rng.random((80, 120)) < 0.05).astype(float)
+    M[::2] = 0.0  # half the rows empty
+    slices.append(M)
+    M = np.zeros((50, 75))
+    M[3, 10] = 1.0
+    slices.append(M)
+    M = np.zeros((60, 90))
+    M[3, 7] = M[5, 9] = 1.0
+    slices.append(M)
+    return slices
 
 
-def test_power_iteration_on_exact_low_rank():
-    rng = np.random.default_rng(4)
-    L = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 60))
-    U, sigma = _power_iteration_svd(L, 2)
-    s_ref = np.linalg.svd(L, compute_uv=False)
-    assert np.allclose(sigma, s_ref[:2], atol=1e-8)
+@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_svd_matches_lapack_on_sparse_slices(index, k):
+    M = sparse_slices()[index]
+    basis = top_k_right_singular(M, k)
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    assert np.allclose(basis.sigma, s[:k], rtol=0, atol=1e-8)
+    gap = s[k - 1] - (s[k] if k < s.size else 0.0)
+    if gap > 1e-6:
+        sines = np.sin(subspace_angles(basis.U, Vt[:k].T))
+        assert sines.max() < 1e-6
+    assert np.allclose(basis.U.T @ basis.U, np.eye(k), atol=1e-10)
+
+
+def test_svd_k_equals_min_shape():
+    M = sparse_slices()[0]
+    k = min(M.shape)
+    basis = top_k_right_singular(M, k)
+    _, s, _ = np.linalg.svd(M)
+    assert basis.U.shape == (M.shape[1], k)
+    assert np.allclose(basis.sigma, s, rtol=0, atol=1e-8)
+
+
+def test_svd_all_zero_slice():
+    basis = top_k_right_singular(np.zeros((30, 45)), 4)
+    assert np.array_equal(basis.sigma, np.zeros(4))
+    assert np.array_equal(basis.U, np.eye(45, 4))
+
+
+@pytest.mark.parametrize("index", [2, 4, 6, 7, 8])
+def test_svd_dense_and_csr_inputs_agree_bitwise(index):
+    M = sparse_slices()[index]
+    dense = top_k_right_singular(M.astype(np.int8), 4)
+    sparse = top_k_right_singular(csr_array(M), 4)
+    assert np.array_equal(dense.U, sparse.U)
+    assert np.array_equal(dense.sigma, sparse.sigma)
+
+
+def test_svd_repeatable_and_thread_invariant():
+    # k = 4 exceeds the rank of the edge slices, so ARPACK draws restart vectors
+    for M in (sparse_slices()[4], sparse_slices()[7], sparse_slices()[8]):
+        first = top_k_right_singular(M, 4)
+        again = [top_k_right_singular(M, 4) for _ in range(3)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda _: top_k_right_singular(M, 4), range(8)))
+        for b in again + threaded:
+            assert np.array_equal(b.U, first.U)
+            assert np.array_equal(b.sigma, first.sigma)
+
+
+@pytest.mark.parametrize("exc", [ArpackError(-9),
+                                 ArpackNoConvergence("no convergence", None, None)])
+def test_svd_reports_arpack_failure(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(netcv.spectral, "eigsh", fail)
+    with pytest.raises(RuntimeError, match=r"90x40 slice with k=3") as info:
+        top_k_right_singular(sparse_slices()[3], 3)
+    assert info.value.__cause__ is exc
 
 
 # ---------------------------------------------------------------- k-means
@@ -215,6 +284,17 @@ def test_geometric_median_optimality_condition():
         else:
             grad = ((P - y) / d[:, None]).sum(axis=0)
             assert np.linalg.norm(grad) < 1e-4
+
+
+def test_geometric_median_warns_at_max_iter(caplog):
+    P = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+        geometric_median(P, max_iter=1)
+    assert "max_iter=1" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+        geometric_median(P)
+    assert caplog.text == ""
 
 
 def test_kmedian_collinear_k1():
