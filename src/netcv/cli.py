@@ -54,8 +54,7 @@ def cmd_select(args):
     models = tuple(tok for tok in args.models.split(",") if tok)
     candidates = candidate_grid(models, args.kmax)
     seed = _resolve_seed(args)
-    report = ncv_select(A, candidates, V=args.folds, fn=args.loss, seed=seed,
-                        threads=args.threads)
+    report = ncv_select(A, candidates, V=args.folds, fn=args.loss, seed=seed)
     _write_text(report.to_json() + "\n", args.output)
     print(f"{'model':>6} {'K':>3} {'total loss':>14}", file=sys.stderr)
     for c, t in zip(report.candidates, report.totals):
@@ -99,8 +98,7 @@ def cmd_bench(args):
     seed = _resolve_seed(args)
     if args.which == "polblogs":
         table, curves = run_polblogs(args.input, reps=args.reps, V=args.folds,
-                                     seed=seed, loss=args.loss, kmax=args.kmax,
-                                     threads=args.threads)
+                                     seed=seed, loss=args.loss, kmax=args.kmax)
         _write_text(table.csv_text(), args.out)
         if args.curves is not None:
             write_loss_curves_csv(curves, args.curves)
@@ -109,7 +107,7 @@ def cmd_bench(args):
         spec = ExperimentSpec(which=args.which, n=args.n, K=args.k,
                               n1=args.n1, r=args.r, reps=args.reps,
                               V=args.folds, seed=seed, loss=args.loss,
-                              kmax_extra=args.kmax_extra, threads=args.threads)
+                              kmax_extra=args.kmax_extra)
         table = run_experiment(spec)
         _write_text(table.csv_text(), args.out)
     if args.json is not None:
@@ -133,7 +131,8 @@ def build_parser():
                     help="comma list from {sbm,dcbm}")
     ps.add_argument("--loss", default="nll", choices=["nll", "l2", "negloglik", "squared"])
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--threads", type=int, default=None)
+    ps.add_argument("--threads", type=int, default=None,
+                    help="accepted and ignored; cells run in sequence")
     ps.add_argument("--output", default=None, help="JSON report path (default stdout)")
     ps.set_defaults(func=cmd_select)
 
@@ -169,7 +168,8 @@ def build_parser():
     pb.add_argument("--input", default="polblogs.txt", help="edge list (polblogs)")
     pb.add_argument("--curves", default=None, help="loss-curve CSV path (polblogs)")
     pb.add_argument("--seed", type=int, default=None)
-    pb.add_argument("--threads", type=int, default=None)
+    pb.add_argument("--threads", type=int, default=None,
+                    help="accepted and ignored; replicates run in sequence")
     pb.add_argument("--out", default=None, help="CSV path (default stdout)")
     pb.add_argument("--json", default=None, help="also write the table as JSON here")
     pb.set_defaults(func=cmd_bench)

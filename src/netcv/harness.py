@@ -15,14 +15,13 @@ import io
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import load_edge_list, largest_connected_component
 from .models import sample, sim1_params, sim2_params, sim3_params
-from .ncv import Candidate, candidate_grid, canonical_loss, ncv_select, repeat_ncv
+from .ncv import candidate_grid, canonical_loss, ncv_select, repeat_ncv
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +45,7 @@ class ExperimentSpec:
     seed: int = 0
     loss: str = "negloglik"
     kmax_extra: int = 2           # candidates run over 1..K_true+kmax_extra
-    threads: int | None = None
+    threads: int | None = None    # accepted; replicates always run in sequence
 
     def __post_init__(self):
         if self.which not in _SIM_IDS:
@@ -57,6 +56,8 @@ class ExperimentSpec:
             raise ValueError(f"need V >= 2, got {self.V}")
         self.loss = canonical_loss(self.loss)
         self.K = tuple(int(k) for k in self.K)
+        if not self.K or min(self.K) < 1:
+            raise ValueError(f"need at least one true K, each >= 1, got {self.K}")
         if self.r is not None:
             self.r = tuple(float(x) for x in self.r)
         if self.n1 is not None:
@@ -100,18 +101,20 @@ def _cell_seq(seed, sim, *key):
     return np.random.SeedSequence(seed, spawn_key=(_SIM_IDS[sim],) + ints)
 
 
-def _run_reps(job, reps, threads):
-    """job(rep) for rep in 0..reps-1, optionally on a thread pool; the
-    result order is always by rep index."""
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, range(reps)))
-    return [job(r) for r in range(reps)]
+def _select_reps(spec, candidates, sim, key, params_of):
+    """Selected candidate of each replicate of one grid cell.
 
-
-def _select_once(A, candidates, spec, rng):
-    seed = int(rng.integers(2**63))
-    return ncv_select(A, candidates, V=spec.V, fn=spec.loss, seed=seed).selected
+    Replicate ``rep`` draws, from the generator of ``_cell_seq(spec.seed,
+    sim, *key, rep)`` and in this order: the model parameters
+    (``params_of(rng)``), the graph, and the seed of its NCV run.
+    """
+    sels = []
+    for rep in range(spec.reps):
+        rng = np.random.default_rng(_cell_seq(spec.seed, sim, *key, rep))
+        A = sample(params_of(rng), rng)
+        seed = int(rng.integers(2**63))
+        sels.append(ncv_select(A, candidates, V=spec.V, fn=spec.loss, seed=seed).selected)
+    return sels
 
 
 def run_sim1(spec: ExperimentSpec) -> SuccessTable:
@@ -130,15 +133,8 @@ def run_sim1(spec: ExperimentSpec) -> SuccessTable:
                 kmax = K + spec.kmax_extra
                 candidates = candidate_grid(("sbm",), kmax)
                 params = sim1_params(spec.n, K, n1, r)
-
-                def rep_job(rep, K=K, n1=n1, r=r, params=params,
-                            candidates=candidates):
-                    rng = np.random.default_rng(
-                        _cell_seq(spec.seed, "sim1", K, n1, round(r * 1e6), rep))
-                    A = sample(params, rng)
-                    return _select_once(A, candidates, spec, rng)
-
-                sels = _run_reps(rep_job, spec.reps, spec.threads)
+                sels = _select_reps(spec, candidates, "sim1",
+                                    (K, n1, round(r * 1e6)), lambda rng: params)
                 hits = sum(1 for s in sels if s.K == K)
                 under = sum(1 for s in sels if s.K < K)
                 table.rows.append({"which": "sim1", "n": spec.n, "K": K,
@@ -157,14 +153,8 @@ def run_sim2(spec: ExperimentSpec) -> SuccessTable:
     for K in spec.K:
         kmax = K + spec.kmax_extra
         candidates = candidate_grid(("sbm",), kmax)
-
-        def rep_job(rep, K=K, candidates=candidates):
-            rng = np.random.default_rng(_cell_seq(spec.seed, "sim2", K, rep))
-            params = sim2_params(spec.n, K, rng)
-            A = sample(params, rng)
-            return _select_once(A, candidates, spec, rng)
-
-        sels = _run_reps(rep_job, spec.reps, spec.threads)
+        sels = _select_reps(spec, candidates, "sim2", (K,),
+                            lambda rng: sim2_params(spec.n, K, rng))
         hits = sum(1 for s in sels if s.K == K)
         table.rows.append({"which": "sim2", "n": spec.n, "K": K, "kmax": kmax,
                            "reps": spec.reps, "successes": hits,
@@ -184,15 +174,9 @@ def run_sim3(spec: ExperimentSpec) -> SuccessTable:
         for K in spec.K:
             kmax = K + spec.kmax_extra
             candidates = candidate_grid(("sbm", "dcbm"), kmax)
-
-            def rep_job(rep, model=model, K=K, candidates=candidates):
-                rng = np.random.default_rng(
-                    _cell_seq(spec.seed, "sim3", 0 if model == "sbm" else 1, K, rep))
-                params = sim3_params(spec.n, K, model, rng)
-                A = sample(params, rng)
-                return _select_once(A, candidates, spec, rng)
-
-            sels = _run_reps(rep_job, spec.reps, spec.threads)
+            sels = _select_reps(spec, candidates, "sim3",
+                                (0 if model == "sbm" else 1, K),
+                                lambda rng: sim3_params(spec.n, K, model, rng))
             type_hits = sum(1 for s in sels if s.model == model)
             k_hits = sum(1 for s in sels if s.model == model and s.K == K)
             k_rate = k_hits / type_hits if type_hits else float("nan")
@@ -219,7 +203,8 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
     Restricts to the largest connected component, repeats selection
     over independent splittings, and returns (SuccessTable of selection
     frequencies, loss curves from the first splitting as a list of
-    {model, K, total_loss} rows).
+    {model, K, total_loss} rows).  ``threads`` is accepted and has no
+    effect.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(POLBLOGS_HINT.format(path=path))
@@ -227,8 +212,7 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
     A_lcc, kept = largest_connected_component(A)
     logger.info("largest connected component: %d of %d nodes", kept.size, A.shape[0])
     candidates = candidate_grid(("sbm", "dcbm"), kmax)
-    result = repeat_ncv(A_lcc, candidates, V, loss, reps, master_seed=seed,
-                        threads=threads)
+    result = repeat_ncv(A_lcc, candidates, V, loss, reps, master_seed=seed)
     cols = ["which", "n_lcc", "model", "K", "count", "freq", "reps", "seed"]
     table = SuccessTable("polblogs", seed, cols)
     for cand in candidates:
@@ -236,8 +220,7 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
         table.rows.append({"which": "polblogs", "n_lcc": int(kept.size),
                            "model": cand.model, "K": cand.K, "count": cnt,
                            "freq": cnt / reps, "reps": reps, "seed": seed})
-    first = ncv_select(A_lcc, candidates, V=V, fn=loss, seed=result.rep_seeds[0],
-                       threads=threads)
+    first = result.reports[0]
     curves = [{"model": c.model, "K": c.K, "total_loss": t}
               for c, t in zip(first.candidates, first.totals)]
     return table, curves

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -140,8 +139,9 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     One node partition is drawn and shared by all candidates, so the
     comparison is paired.  Ties in total loss go to the smaller K,
     then to the plain block model.  All randomness derives from the
-    integer seed (one is generated and recorded when omitted); results
-    do not depend on the thread count.
+    integer seed (one is generated and recorded when omitted).  The
+    (candidate, fold) cells run in sequence; ``threads`` is accepted
+    and has no effect.
     """
     A = np.asarray(A)
     check_adjacency(A)
@@ -170,24 +170,10 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
             raise ValueError(f"K={kmax} exceeds fitting rows ({fit_rows.size})")
         bases.append(top_k_right_singular(A[fit_rows, :], kmax))
 
-    cells = [(ci, v) for ci in range(len(candidates)) for v in range(V)]
-
-    def run_cell(cell):
-        ci, v = cell
-        cand = candidates[ci]
-        rng = _cell_rng(seed, cand, v)
-        return fold_fit_validate(A, partition, v, cand, kind, rng,
-                                 basis=bases[v])
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
-
-    fold_losses = [[0.0] * V for _ in candidates]
-    for (ci, v), val in zip(cells, results):
-        fold_losses[ci][v] = val
+    fold_losses = [[fold_fit_validate(A, partition, v, cand, kind,
+                                      _cell_rng(seed, cand, v), basis=bases[v])
+                    for v in range(V)]
+                   for cand in candidates]
     totals = [float(sum(fl)) for fl in fold_losses]
     best = min(range(len(candidates)),
                key=lambda i: (totals[i], candidates[i].K,
@@ -201,26 +187,22 @@ class RepeatResult(NamedTuple):
     counts: dict           # Candidate -> selection count
     selections: list       # per-rep selected Candidate
     rep_seeds: list
+    reports: list          # per-rep NcvReport
 
 
 def repeat_ncv(A, candidates, V: int, fn: str, reps: int, master_seed,
                threads: int | None = None) -> RepeatResult:
-    """Run ncv_select under `reps` independent node splittings and
-    tabulate how often each candidate is selected."""
+    """Run ncv_select under `reps` independent node splittings, in
+    sequence, and tabulate how often each candidate is selected.
+    ``threads`` is accepted and has no effect."""
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     rep_seeds = [int(s) for s in
                  np.random.SeedSequence(master_seed).generate_state(reps, dtype=np.uint64)]
-
-    def run_rep(s):
-        return ncv_select(A, candidates, V=V, fn=fn, seed=s).selected
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            selections = list(pool.map(run_rep, rep_seeds))
-    else:
-        selections = [run_rep(s) for s in rep_seeds]
+    reports = [ncv_select(A, candidates, V=V, fn=fn, seed=s) for s in rep_seeds]
+    selections = [r.selected for r in reports]
     counts = {}
     for sel in selections:
         counts[sel] = counts.get(sel, 0) + 1
-    return RepeatResult(counts=counts, selections=selections, rep_seeds=rep_seeds)
+    return RepeatResult(counts=counts, selections=selections, rep_seeds=rep_seeds,
+                        reports=reports)

@@ -108,41 +108,74 @@ def _assign(X: np.ndarray, centers: np.ndarray):
     return labels, d[np.arange(X.shape[0]), labels]
 
 def _repair_empty(X, centers, labels, dist, k):
-    """Reseed each empty cluster at the point farthest from its current center."""
+    """Reseed each empty cluster at the point farthest from its current
+    center.  Returns whether any center moved; when none did, the next
+    update reproduces the current centers."""
     counts = np.bincount(labels, minlength=k)
     empties = np.nonzero(counts == 0)[0]
     if empties.size == 0:
         return False
     d = dist.copy()
+    moved = False
     for c in empties:
         idx = int(np.argmax(d))
+        moved = moved or not np.array_equal(centers[c], X[idx])
         centers[c] = X[idx]
         d[idx] = -1.0
     logger.debug("reseeded %d empty cluster(s)", empties.size)
-    return True
+    return moved
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = 100):
-    """Lloyd iterations for k-means.  Returns labels, centers, objective and
-    the per-iteration objective trace (nonincreasing)."""
+def _objective(dist: np.ndarray, squared: bool) -> float:
+    return float(np.sum(dist**2)) if squared else float(dist.sum())
+
+
+def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
+               max_iter: int = 100):
+    """Alternating assignment / center updates from the given centers.
+
+    ``update`` maps the points of one cluster to its new center (the mean
+    for k-means, the geometric median for k-median); the objective is the
+    sum of squared distances when ``squared``, else of plain distances.
+    Returns labels, centers, objective and the per-iteration objective
+    trace (nonincreasing).
+    """
     k = centers.shape[0]
     centers = centers.copy()
     labels = None
     trace = []
     for _ in range(max_iter):
         new_labels, dist = _assign(X, centers)
-        trace.append(float(np.sum(dist**2)))
-        repaired = _repair_empty(X, centers, new_labels, dist, k)
-        if not repaired and labels is not None and np.array_equal(new_labels, labels):
+        trace.append(_objective(dist, squared))
+        moved = _repair_empty(X, centers, new_labels, dist, k)
+        if not moved and labels is not None and np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
         for c in range(k):
             mask = labels == c
             if mask.any():
-                centers[c] = X[mask].mean(axis=0)
+                centers[c] = update(X[mask])
+    else:
+        logger.warning("clustering of %d points into %d clusters stopped at "
+                       "max_iter=%d before the labels settled", X.shape[0], k, max_iter)
     _, dist = _assign(X, centers)
-    return labels, centers, float(np.sum(dist**2)), trace
+    return labels, centers, _objective(dist, squared), trace
+
+
+def _cluster(X, k: int, rng: np.random.Generator, restarts: int, max_iter: int,
+             update, squared: bool) -> ClusterResult:
+    """Best of ``restarts`` seeded runs of the alternating loop."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] < k:
+        raise ValueError(f"need at least k={k} rows, got {X.shape[0]}")
+    best = None
+    for _ in range(restarts):
+        centers0 = _seed_centers(X, k, rng, squared=squared)
+        labels, centers, obj, _ = _alternate(X, centers0, update, squared, max_iter)
+        if best is None or obj < best[2]:
+            best = (labels, centers, obj)
+    return ClusterResult(best[0] + 1, best[1], best[2])
 
 
 def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
@@ -155,16 +188,8 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
     center; if the data cannot fill k clusters, the result may leave
     some labels unused.
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] < k:
-        raise ValueError(f"need at least k={k} rows, got {X.shape[0]}")
-    best = None
-    for _ in range(restarts):
-        centers0 = _seed_centers(X, k, rng, squared=True)
-        labels, centers, obj, _ = _lloyd(X, centers0, max_iter)
-        if best is None or obj < best[2]:
-            best = (labels, centers, obj)
-    return ClusterResult(best[0] + 1, best[1], best[2])
+    return _cluster(X, k, rng, restarts, max_iter, lambda P: P.mean(axis=0),
+                    squared=True)
 
 
 def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
@@ -196,44 +221,12 @@ def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> n
     return y
 
 
-def _kmedian_once(X: np.ndarray, centers: np.ndarray, max_iter: int = 100):
-    """Alternating assignment / geometric-median updates.  Returns labels,
-    centers, objective (sum of plain distances) and the objective trace."""
-    k = centers.shape[0]
-    centers = centers.copy()
-    labels = None
-    trace = []
-    for _ in range(max_iter):
-        new_labels, dist = _assign(X, centers)
-        trace.append(float(dist.sum()))
-        repaired = _repair_empty(X, centers, new_labels, dist, k)
-        if not repaired and labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = geometric_median(X[mask])
-    _, dist = _assign(X, centers)
-    return labels, centers, float(dist.sum()), trace
-
-
 def kmedian_spherical(X: np.ndarray, k: int, rng: np.random.Generator,
                       restarts: int = 10, max_iter: int = 100) -> ClusterResult:
     """k-median clustering: centers are geometric medians, the objective is
     the sum of Euclidean (not squared) distances to assigned centers.
     Intended for row-normalized singular-vector rows."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] < k:
-        raise ValueError(f"need at least k={k} rows, got {X.shape[0]}")
-    best = None
-    for _ in range(restarts):
-        centers0 = _seed_centers(X, k, rng, squared=False)
-        labels, centers, obj, _ = _kmedian_once(X, centers0, max_iter)
-        if best is None or obj < best[2]:
-            best = (labels, centers, obj)
-    return ClusterResult(best[0] + 1, best[1], best[2])
+    return _cluster(X, k, rng, restarts, max_iter, geometric_median, squared=False)
 
 
 def spherical_embed(U: np.ndarray):

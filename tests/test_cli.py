@@ -157,6 +157,14 @@ def test_bench_deterministic_bytes(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("k", ["0", ""])
+def test_bench_rejects_missing_or_zero_k(k, capsys):
+    code = main(["bench", "sim1", "--n", "90", "--k", k, "--reps", "1",
+                 "--seed", "1"])
+    assert code == 2
+    assert "true K" in capsys.readouterr().err
+
+
 def test_bench_sim3_columns(capsys):
     code = main(["bench", "sim3", "--n", "60", "--k", "1", "--reps", "1",
                  "--seed", "2"])

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from netcv.graphs import write_edge_list
+import netcv.harness
+import netcv.ncv
+from netcv.graphs import largest_connected_component, load_edge_list, write_edge_list
 from netcv.models import SbmParams, sample
 from netcv.harness import (ExperimentSpec, run_experiment, run_polblogs,
                            run_sim1, run_sim2, run_sim3, write_loss_curves_csv)
+from netcv.ncv import candidate_grid, ncv_select, repeat_ncv
 
 
 def small_spec(**kw):
@@ -33,6 +36,12 @@ def test_spec_rejects_unknown_experiment():
 def test_spec_rejects_bad_V():
     with pytest.raises(ValueError):
         small_spec(V=1)
+
+
+@pytest.mark.parametrize("K", [(), (0,), (2, -1)])
+def test_spec_rejects_missing_or_nonpositive_K(K):
+    with pytest.raises(ValueError, match="true K"):
+        small_spec(K=K)
 
 
 def test_spec_canonicalizes_loss():
@@ -129,6 +138,30 @@ def test_polblogs_runner_on_synthetic_graph(tmp_path):
     # totals in the curves are finite and positive
     assert all(np.isfinite(c["total_loss"]) and c["total_loss"] > 0
                for c in curves)
+
+
+def test_polblogs_curves_reuse_the_first_report(tmp_path, monkeypatch):
+    g = np.repeat([1, 2], 40)
+    B = np.array([[0.5, 0.05], [0.05, 0.5]])
+    A = sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(0))
+    path = tmp_path / "edges.txt"
+    write_edge_list(A, path)
+    A_lcc, _ = largest_connected_component(load_edge_list(path, symmetrize=True)[0])
+    rep_seeds = repeat_ncv(A_lcc, [("sbm", 1)], V=3, fn="nll", reps=3,
+                           master_seed=1).rep_seeds
+    expected = ncv_select(A_lcc, candidate_grid(("sbm", "dcbm"), 2), V=3, fn="nll",
+                          seed=rep_seeds[0]).totals
+    calls = []
+
+    def counting_select(*args, **kw):
+        calls.append(kw.get("seed"))
+        return ncv_select(*args, **kw)
+
+    monkeypatch.setattr(netcv.ncv, "ncv_select", counting_select)
+    monkeypatch.setattr(netcv.harness, "ncv_select", counting_select)
+    _, curves = run_polblogs(str(path), reps=3, V=3, seed=1, kmax=2)
+    assert calls == rep_seeds
+    assert [c["total_loss"] for c in curves] == expected
 
 
 def test_loss_curves_csv(tmp_path):

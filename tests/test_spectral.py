@@ -13,11 +13,20 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
-from netcv.spectral import (_lloyd, _kmedian_once,
+from netcv.spectral import (_alternate,
                             geometric_median, kmeans, kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
                             top_k_right_singular)
+
+
+@pytest.fixture(autouse=True)
+def _clustering_settles(request, caplog):
+    """Every clustering run here, at its default max_iter, settles its labels."""
+    yield
+    if "warns_at_max_iter" not in request.node.name:
+        messages = [r.getMessage() for r in caplog.get_records("call")]
+        assert not any("labels settled" in m for m in messages)
 
 
 # ---------------------------------------------------------------- oracles
@@ -231,14 +240,6 @@ def test_kmeans_deterministic_given_seed():
     assert a.objective == b.objective
 
 
-def test_lloyd_objective_trace_nonincreasing():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((60, 4))
-    centers0 = X[:5].copy()
-    _, _, _, trace = _lloyd(X, centers0)
-    assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-
-
 def test_kmeans_beats_true_centroids_on_population():
     params = balanced_sbm(60, 3)
     P = expected_P(params)
@@ -321,17 +322,43 @@ def test_kmedian_duplicates_objective_zero():
     assert res.objective <= 1e-12
 
 
-def test_kmedian_trace_nonincreasing():
-    rng = np.random.default_rng(10)
-    X = rng.standard_normal((40, 3))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    _, _, _, trace = _kmedian_once(X, X[:4].copy())
-    assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-
-
 def test_kmedian_needs_enough_rows():
     with pytest.raises(ValueError):
         kmedian_spherical(np.zeros((1, 2)), 2, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------- alternating loop
+
+def _lloyd_input():
+    X = np.random.default_rng(7).standard_normal((60, 4))
+    return X, X[:5].copy()
+
+
+def _kmedian_input():
+    X = np.random.default_rng(10).standard_normal((40, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return X, X[:4].copy()
+
+
+OBJECTIVES = [
+    pytest.param(_lloyd_input, lambda P: P.mean(axis=0), True, id="kmeans"),
+    pytest.param(_kmedian_input, geometric_median, False, id="kmedian"),
+]
+
+
+@pytest.mark.parametrize("make_input,update,squared", OBJECTIVES)
+def test_alternate_objective_trace_nonincreasing(make_input, update, squared):
+    X, centers0 = make_input()
+    _, _, _, trace = _alternate(X, centers0, update, squared)
+    assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("make_input,update,squared", OBJECTIVES)
+def test_alternate_warns_at_max_iter(make_input, update, squared, caplog):
+    X, centers0 = make_input()
+    with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+        _alternate(X, centers0, update, squared, max_iter=1)
+    assert "max_iter=1" in caplog.text and "labels settled" in caplog.text
 
 
 # ---------------------------------------------------------------- embedding
