@@ -24,6 +24,7 @@ logger = logging.getLogger(__name__)
 
 PROB_CLAMP_EPS = 1e-6
 _DENOM_TOL = 1e-12
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -67,26 +68,41 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
     """Block-wise sums over observed pairs.
 
     Returns (Num, Den): Num[a, b] is the sum of A_ij over unordered
-    observed pairs with labels {a+1, b+1}; Den counts the same pairs,
-    weighted by weights_i * weights_j when weights is given.
+    observed pairs with labels {a+1, b+1}; Den is ``_pair_counts``.
+    Rows of A are cast to float ``_ROW_BLOCK`` at a time, so the float
+    copy stays small; on a 0/1 matrix every partial sum is an integer,
+    so Num is exact whatever the blocking.
     """
     N1 = np.asarray(N1, dtype=np.int64)
-    N2 = np.asarray(N2, dtype=np.int64)
-    g1 = g[N1]
-    H1 = _onehot(g1, k)
-    R = np.asarray(A)[N1, :].astype(float, copy=False)
-    R[np.arange(N1.size), N1] = 0.0    # self-pairs are never observed pairs
-    S = H1.T @ R @ _onehot(g, k)       # ordered sums, source in N1
-    S11 = H1.T @ R[:, N1] @ H1         # ordered sums within N1
+    A = np.asarray(A)
+    H = _onehot(g, k)
+    H1 = H[N1]
+    S = np.zeros((k, k))    # ordered sums, source in N1
+    S11 = np.zeros((k, k))  # ordered sums within N1
+    for start in range(0, N1.size, _ROW_BLOCK):
+        rows = N1[start:start + _ROW_BLOCK]
+        Hb = H1[start:start + _ROW_BLOCK]
+        R = A[rows, :].astype(float, copy=False)
+        R[np.arange(rows.size), rows] = 0.0    # self-pairs are never observed pairs
+        S += Hb.T @ R @ H
+        S11 += Hb.T @ R[:, N1] @ H1
     Num = S + S.T - S11
     np.fill_diagonal(Num, np.diag(S) - np.diag(S11) / 2.0)
+    return Num, _pair_counts(N1, N2, g, k, weights)
 
+
+def _pair_counts(N1, N2, g, k, weights=None):
+    """Den[a, b]: the number of unordered observed pairs with labels
+    {a+1, b+1}, weighted by weights_i * weights_j when weights is given."""
+    N1 = np.asarray(N1, dtype=np.int64)
+    N2 = np.asarray(N2, dtype=np.int64)
     if weights is None:
         w1 = np.ones(N1.size)
         w2 = np.ones(N2.size)
     else:
         w1 = weights[N1]
         w2 = weights[N2]
+    g1 = g[N1]
     t1 = np.zeros(k)
     np.add.at(t1, g1 - 1, w1)
     q1 = np.zeros(k)
@@ -95,7 +111,7 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
     np.add.at(t2, g[N2] - 1, w2)
     Den = np.outer(t1, t1) + np.outer(t1, t2) + np.outer(t2, t1)
     np.fill_diagonal(Den, (t1**2 - q1) / 2.0 + t1 * t2)
-    return Num, Den
+    return Den
 
 
 def _global_density(Num, Den_counts):
@@ -147,7 +163,7 @@ def estimate_dcbm(A, N1, N2, g_hat, psi_prime_hat, k: int) -> DcbmFit:
     ok = Den > _DENOM_TOL
     B[ok] = Num[ok] / Den[ok]
     if not ok.all():
-        _, counts = _pair_sums(np.zeros_like(np.asarray(A, dtype=float)), N1, N2, g_hat, k)
+        counts = _pair_counts(N1, N2, g_hat, k)
         dens = _global_density(Num, counts)
         iu = np.triu_indices(k)
         total_counts = counts[iu].sum()

@@ -86,13 +86,13 @@ def load_edge_list(path, symmetrize: bool = True):
     if not ids:
         raise ValueError(f"{path}: empty edge list")
     n = len(ids)
+    i, j = np.array(edges, dtype=np.int64).T
+    keep = i != j
+    i, j = i[keep], j[keep]
+    if symmetrize:
+        i, j = np.concatenate([i, j]), np.concatenate([j, i])
     A = np.zeros((n, n), dtype=np.int8)
-    for i, j in edges:
-        if i == j:
-            continue
-        A[i, j] = 1
-        if symmetrize:
-            A[j, i] = 1
+    A[i, j] = 1
     if not symmetrize and not np.array_equal(A, A.T):
         raise ValueError(f"{path}: edge list is not symmetric and symmetrize=False")
     node_ids = [None] * n

@@ -9,6 +9,23 @@ of a rectangular slice of the adjacency matrix: k-means on the raw
 rows for the plain block model, and k-median on the row-normalized
 ("spherical") rows for the degree-corrected model, whose row norms
 carry the node-activeness information.
+
+Both clusterers keep the best of several seeded restarts, and a later
+restart replaces the best only with a strictly smaller objective.  The
+restarts of one call share a memo of labelings, each with its clusters
+renumbered by first appearance.  When every cluster is nonempty, the
+center update and everything after it depend only on the labeling, up
+to the names of the clusters: the centers are the same points in
+another order, each point's distances are the same, and so are the
+objective and the number of steps until the labels settle.  A restart
+records the labelings it passed through once its labels settle; one
+that reaches a recorded labeling would end with the recorded restart's
+objective, which cannot beat the best, so it stops there.  A labeling
+is recorded only if no point was equally near two centers and no
+cluster emptied on the way from it to the end, because ties go to the
+lower cluster number and empty clusters are reseeded in cluster order;
+and a restart stops only if the recorded number of steps fits in its
+remaining iterations.  Results are the same bits as without the memo.
 """
 
 from __future__ import annotations
@@ -88,7 +105,7 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool
     centers[0] = X[int(rng.integers(n))]
     if k == 1:
         return centers
-    dmin = np.linalg.norm(X - centers[0], axis=1)
+    dmin = _dist(X - centers[0])
     for c in range(1, k):
         w = dmin**2 if squared else dmin
         total = w.sum()
@@ -97,15 +114,31 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool
         else:
             idx = int(rng.integers(n))
         centers[c] = X[idx]
-        dmin = np.minimum(dmin, np.linalg.norm(X - centers[c], axis=1))
+        dmin = np.minimum(dmin, _dist(X - centers[c]))
     return centers
 
 
+def _dist(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit-identical to
+    ``np.linalg.norm(diff, axis=-1)``.  From width 1 to 7 NumPy adds the
+    squares in order, so summing them column by column gives the same
+    bits without the general routine's overhead; from width 8 on NumPy
+    sums pairwise, so the general routine is used, as it is for width 0."""
+    if not 0 < diff.shape[-1] < 8:
+        return np.linalg.norm(diff, axis=-1)
+    s = diff[..., 0] ** 2
+    for j in range(1, diff.shape[-1]):
+        s += diff[..., j] ** 2
+    return np.sqrt(s)
+
+
 def _assign(X: np.ndarray, centers: np.ndarray):
-    """Nearest-center labels (0-based; ties to the lowest index) and distances."""
-    d = np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=2)
-    labels = np.argmin(d, axis=1)
-    return labels, d[np.arange(X.shape[0]), labels]
+    """Nearest-center labels (0-based; ties to the lowest index), distances,
+    and whether some point is equally near two centers."""
+    d = _dist(X[:, None, :] - centers[None, :, :])
+    dist = d.min(axis=1)
+    return np.argmin(d, axis=1), dist, np.count_nonzero(d == dist[:, None]) > dist.size
+
 
 def _repair_empty(X, centers, labels, dist, k):
     """Reseed each empty cluster at the point farthest from its current
@@ -130,8 +163,19 @@ def _objective(dist: np.ndarray, squared: bool) -> float:
     return float(np.sum(dist**2)) if squared else float(dist.sum())
 
 
+def _canonical(labels: np.ndarray, k: int):
+    """The labeling with clusters renumbered by first appearance, as bytes,
+    or None when some cluster is empty."""
+    hit = labels == np.arange(k)[:, None]
+    if not hit.any(axis=1).all():
+        return None
+    rank = np.empty(k, dtype=labels.dtype)
+    rank[np.argsort(hit.argmax(axis=1))] = np.arange(k)
+    return rank[labels].astype(np.min_scalar_type(k)).tobytes()
+
+
 def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
-               max_iter: int = 100):
+               max_iter: int = 100, memo: dict | None = None):
     """Alternating assignment / center updates from the given centers.
 
     ``update`` maps the points of one cluster to its new center (the mean
@@ -139,19 +183,32 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
     sum of squared distances when ``squared``, else of plain distances.
     Returns labels, centers, objective and the per-iteration objective
     trace (nonincreasing).
+
+    ``memo`` is the restart memo of ``_cluster`` (see the module
+    docstring).  The run records its labelings there when its labels
+    settle, and returns None instead when it reaches a labeling that an
+    earlier run recorded and would settle within ``max_iter``.
     """
     k = centers.shape[0]
     centers = centers.copy()
     labels = None
     trace = []
-    for _ in range(max_iter):
-        new_labels, dist = _assign(X, centers)
+    seen = []  # (key, iteration) of labelings whose run since was tie- and repair-free
+    for it in range(max_iter):
+        new_labels, dist, tied = _assign(X, centers)
         trace.append(_objective(dist, squared))
+        key = None if memo is None else _canonical(new_labels, k)
+        if tied or key is None:
+            seen.clear()
         moved = _repair_empty(X, centers, new_labels, dist, k)
         if not moved and labels is not None and np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
+        if key is not None:
+            if key in memo and memo[key] < max_iter - it:
+                return None
+            seen.append((key, it))
         for c in range(k):
             mask = labels == c
             if mask.any():
@@ -159,22 +216,27 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
     else:
         logger.warning("clustering of %d points into %d clusters stopped at "
                        "max_iter=%d before the labels settled", X.shape[0], k, max_iter)
-    _, dist = _assign(X, centers)
+        seen.clear()
+    for key, i in seen:
+        memo[key] = it - i
+    _, dist, _ = _assign(X, centers)
     return labels, centers, _objective(dist, squared), trace
 
 
 def _cluster(X, k: int, rng: np.random.Generator, restarts: int, max_iter: int,
              update, squared: bool) -> ClusterResult:
-    """Best of ``restarts`` seeded runs of the alternating loop."""
+    """Best of ``restarts`` seeded runs of the alternating loop; a later run
+    replaces the best only with a strictly smaller objective."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} rows, got {X.shape[0]}")
     best = None
+    memo = {}
     for _ in range(restarts):
         centers0 = _seed_centers(X, k, rng, squared=squared)
-        labels, centers, obj, _ = _alternate(X, centers0, update, squared, max_iter)
-        if best is None or obj < best[2]:
-            best = (labels, centers, obj)
+        run = _alternate(X, centers0, update, squared, max_iter, memo)
+        if run is not None and (best is None or run[2] < best[2]):
+            best = run
     return ClusterResult(best[0] + 1, best[1], best[2])
 
 
@@ -195,24 +257,28 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
 def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
     """Geometric median by Weiszfeld iteration with the Vardi-Zhang correction
     for iterates that coincide with a data point."""
-    P = np.asarray(P, dtype=float)
+    P = np.ascontiguousarray(P, dtype=float)
     y = P.mean(axis=0)
     for _ in range(max_iter):
-        d = np.linalg.norm(P - y, axis=1)
-        on_point = d < _ZERO_ROW_TOL
-        if on_point.all():
-            return y
-        w = 1.0 / d[~on_point]
-        T = (P[~on_point] * w[:, None]).sum(axis=0) / w.sum()
-        eta = int(on_point.sum())
-        if eta == 0:
-            y_new = T
+        d = _dist(P - y)
+        if d.min() >= _ZERO_ROW_TOL:
+            w = 1.0 / d
+            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
         else:
-            r = np.linalg.norm((T - y) * w.sum())
-            if r <= eta:
+            on_point = d < _ZERO_ROW_TOL
+            if on_point.all():
                 return y
-            step = eta / r
-            y_new = (1.0 - step) * T + step * y
+            w = 1.0 / d[~on_point]
+            T = (P[~on_point] * w[:, None]).sum(axis=0) / w.sum()
+            eta = int(on_point.sum())
+            if eta == 0:
+                y_new = T
+            else:
+                r = np.linalg.norm((T - y) * w.sum())
+                if r <= eta:
+                    return y
+                step = eta / r
+                y_new = (1.0 - step) * T + step * y
         if np.linalg.norm(y_new - y) < tol:
             return y_new
         y = y_new

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import netcv.estimators
 from netcv.estimators import (DcbmFit, SbmFit, clamp_probs, estimate_B_sbm,
                               estimate_dcbm, predict_P, predict_P_matrix,
                               _pair_sums)
@@ -70,6 +71,19 @@ def test_pair_sums_weighted_match_oracle():
         Num_o, Den_o = pair_sums_oracle(A, N1, N2, g, k, psi=psi)
         assert np.array_equal(Num, Num_o)
         assert np.allclose(Den, Den_o, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_pair_sums_in_row_blocks_match_oracle(block, monkeypatch):
+    monkeypatch.setattr(netcv.estimators, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        A, N1, N2, g, k, psi = random_instance(rng, with_psi=True)
+        for weights in (None, psi):
+            Num, Den = _pair_sums(A, N1, N2, g, k, weights=weights)
+            Num_o, Den_o = pair_sums_oracle(A, N1, N2, g, k, psi=weights)
+            assert np.array_equal(Num, Num_o)
+            assert np.allclose(Den, Den_o, rtol=1e-12, atol=1e-12)
 
 
 def test_pair_sums_ignore_unobserved_block():

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
-from netcv.spectral import (_alternate,
+from netcv.spectral import (_alternate, _dist, _seed_centers,
                             geometric_median, kmeans, kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
@@ -359,6 +359,167 @@ def test_alternate_warns_at_max_iter(make_input, update, squared, caplog):
     with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
         _alternate(X, centers0, update, squared, max_iter=1)
     assert "max_iter=1" in caplog.text and "labels settled" in caplog.text
+
+
+# ---------------------------------------------------------------- exactness of the fast paths
+
+def weiszfeld_reference(P, tol=1e-8, max_iter=500):
+    """The Weiszfeld loop with the Vardi-Zhang step as written before the
+    mask-free fast path, with np.linalg.norm distances."""
+    P = np.asarray(P, dtype=float)
+    y = P.mean(axis=0)
+    for _ in range(max_iter):
+        d = np.linalg.norm(P - y, axis=1)
+        on_point = d < 1e-12
+        if on_point.all():
+            return y
+        w = 1.0 / d[~on_point]
+        T = (P[~on_point] * w[:, None]).sum(axis=0) / w.sum()
+        eta = int(on_point.sum())
+        if eta == 0:
+            y_new = T
+        else:
+            r = np.linalg.norm((T - y) * w.sum())
+            if r <= eta:
+                return y
+            step = eta / r
+            y_new = (1.0 - step) * T + step * y
+        if np.linalg.norm(y_new - y) < tol:
+            return y_new
+        y = y_new
+    return y
+
+
+def memo_free_reference(X, k, rng, update, squared, restarts=10, max_iter=100):
+    """Best of the seeded restarts, each run to the end without a memo."""
+    X = np.asarray(X, dtype=float)
+    best = None
+    for _ in range(restarts):
+        centers0 = _seed_centers(X, k, rng, squared=squared)
+        labels, centers, obj, _ = _alternate(X, centers0, update, squared, max_iter)
+        if best is None or obj < best[2]:
+            best = (labels + 1, centers, obj)
+    return best
+
+
+def exactness_inputs():
+    """(X, k): k = 1, identical rows, square corners (two optimal splits),
+    a cloud whose mean is one of its points, integer points with ties,
+    width 9, and clustered data."""
+    rng = np.random.default_rng(21)
+    plus = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    centers = rng.standard_normal((4, 3)) * 3
+    blobs = centers[rng.integers(4, size=90)] + rng.normal(0, 0.4, (90, 3))
+    sphere = rng.standard_normal((120, 4))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    return [
+        (rng.standard_normal((30, 3)), 1),
+        (np.ones((8, 3)), 2),
+        (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 2),
+        (np.vstack([plus, plus + 5.0]), 2),
+        (rng.integers(0, 3, size=(40, 2)).astype(float), 3),
+        (rng.standard_normal((50, 9)), 3),
+        (blobs, 4),
+        (sphere, 3),
+    ]
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 7, 8, 9, 16])
+def test_dist_matches_linalg_norm_bitwise(width):
+    rng = np.random.default_rng(width)
+    X = rng.standard_normal((200, width)) * rng.uniform(0.01, 100, width)
+    C = rng.standard_normal((4, width))
+    for diff in (X - C[0], X[:, None, :] - C[None, :, :]):
+        assert np.array_equal(_dist(diff), np.linalg.norm(diff, axis=-1))
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_geometric_median_matches_reference_bitwise(index):
+    X, _ = exactness_inputs()[index]
+    for P in (X, X[: max(1, len(X) // 3)], X[:1]):
+        assert geometric_median(P).tobytes() == weiszfeld_reference(P).tobytes()
+    assert geometric_median(X, tol=1e-12).tobytes() == weiszfeld_reference(X, tol=1e-12).tobytes()
+
+
+def test_geometric_median_reference_covers_an_iterate_on_a_point():
+    plus = exactness_inputs()[3][0][:5]
+    assert np.array_equal(plus.mean(axis=0), plus[0])  # the first iterate is a data point
+    assert geometric_median(plus).tobytes() == weiszfeld_reference(plus).tobytes()
+
+
+CLUSTERERS = [
+    pytest.param(kmeans, lambda P: P.mean(axis=0), True, id="kmeans"),
+    pytest.param(kmedian_spherical, geometric_median, False, id="kmedian"),
+]
+
+
+@pytest.mark.parametrize("index", range(8))
+@pytest.mark.parametrize("cluster,update,squared", CLUSTERERS)
+def test_clusterers_match_memo_free_reference_bitwise(index, cluster, update, squared):
+    X, k = exactness_inputs()[index]
+    for seed in range(3):
+        got = cluster(X, k, np.random.default_rng(seed))
+        labels, centers, obj = memo_free_reference(X, k, np.random.default_rng(seed),
+                                                   update, squared)
+        assert np.array_equal(got.labels, labels)
+        assert got.centers.tobytes() == centers.tobytes()
+        assert got.objective == obj
+
+
+def _mean(P):
+    return P.mean(axis=0)
+
+
+def test_memo_skips_labelings_followed_by_a_tie():
+    # From labels [1, 1, 0, 0, 0] the centers are 4 and 0, point 2 is at
+    # distance 2 from both and joins cluster 0: the labels settle (objective
+    # 16).  Named the other way round, the tie sends point 2 across and the
+    # run goes on to objective 12.67, so that labeling must not be recorded.
+    X = np.array([[-1.0], [1.0], [2.0], [3.0], [7.0]])
+    memo = {}
+    first = _alternate(X, np.array([[3.5], [0.0]]), _mean, True, memo=memo)
+    second = _alternate(X, np.array([[0.0], [3.5]]), _mean, True, memo=memo)
+    assert first[2] == 16.0
+    assert second is not None and second[2] < first[2]
+    free = _alternate(X, np.array([[0.0], [3.5]]), _mean, True)
+    assert np.array_equal(second[0], free[0]) and second[2] == free[2]
+
+
+def test_memo_respects_the_iteration_budget_warns_at_max_iter(caplog):
+    # The second run reaches the first run's labels [0, 0, 0, 1, 1, 1] at
+    # iteration 1, one center update before they settle.
+    X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+    memo = {}
+    _alternate(X, np.array([[0.0], [11.0]]), _mean, True, memo=memo)
+    late = np.array([[0.0], [1.0]])
+    assert _alternate(X, late, _mean, True, max_iter=3, memo=memo) is None
+    short = _alternate(X, late, _mean, True, max_iter=2, memo=memo)
+    free = _alternate(X, late, _mean, True, max_iter=2)
+    assert short is not None and "max_iter=2" in caplog.text
+    assert np.array_equal(short[0], free[0]) and short[1].tobytes() == free[1].tobytes()
+    # an unsettled run records nothing: the same start then runs to the end
+    memo = {}
+    _alternate(X, late, _mean, True, max_iter=1, memo=memo)
+    full = _alternate(X, late, _mean, True, memo=memo)
+    assert full is not None and full[2] == _alternate(X, late, _mean, True)[2]
+
+
+@pytest.mark.parametrize("cluster", [kmeans, kmedian_spherical])
+def test_memo_stops_restarts_that_reach_a_recorded_labeling(cluster, monkeypatch):
+    runs = []
+    alternate = netcv.spectral._alternate
+
+    def spy(*args, **kwargs):
+        runs.append(alternate(*args, **kwargs))
+        return runs[-1]
+    monkeypatch.setattr(netcv.spectral, "_alternate", spy)
+    X, k = exactness_inputs()[6]
+    cluster(X, k, np.random.default_rng(0))
+    finished = [r[0] + 1 for r in runs if r is not None]
+    assert len(runs) == 10 and runs[0] is not None
+    assert len(finished) <= 3  # most restarts end in the labeling of an earlier one
+    for a, b in itertools.combinations(finished, 2):
+        assert hamming_up_to_permutation(a, b) > 0
 
 
 # ---------------------------------------------------------------- embedding
