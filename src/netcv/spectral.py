@@ -10,22 +10,17 @@ rows for the plain block model, and k-median on the row-normalized
 ("spherical") rows for the degree-corrected model, whose row norms
 carry the node-activeness information.
 
-Both clusterers keep the best of several seeded restarts, and a later
-restart replaces the best only with a strictly smaller objective.  The
-restarts of one call share a memo of labelings, each with its clusters
-renumbered by first appearance.  When every cluster is nonempty, the
-center update and everything after it depend only on the labeling, up
-to the names of the clusters: the centers are the same points in
-another order, each point's distances are the same, and so are the
-objective and the number of steps until the labels settle.  A restart
-records the labelings it passed through once its labels settle; one
-that reaches a recorded labeling would end with the recorded restart's
-objective, which cannot beat the best, so it stops there.  A labeling
-is recorded only if no point was equally near two centers and no
-cluster emptied on the way from it to the end, because ties go to the
-lower cluster number and empty clusters are reseeded in cluster order;
-and a restart stops only if the recorded number of steps fits in its
-remaining iterations.  Results are the same bits as without the memo.
+Both clusterers keep the best of several seeded restarts, replacing it
+only with a strictly smaller objective.  The restarts of one call share
+a memo of the labelings earlier restarts passed through before their
+labels settled, with clusters renumbered by first appearance.  From a
+labeling with no empty cluster, the rest of a run depends only on the
+labeling up to cluster names, so a restart that reaches a recorded one
+would end with an objective already seen, and it stops there.  Ties go
+to the lower cluster number and empty clusters are reseeded in cluster
+order, so a labeling followed by an assignment tie or an empty cluster
+is not recorded; and a restart stops only if the recorded steps fit in
+its remaining iterations.  Results are the same bits as without the memo.
 """
 
 from __future__ import annotations
@@ -261,24 +256,21 @@ def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> n
     y = P.mean(axis=0)
     for _ in range(max_iter):
         d = _dist(P - y)
-        if d.min() >= _ZERO_ROW_TOL:
+        on_point = d < _ZERO_ROW_TOL
+        eta = np.count_nonzero(on_point)
+        if eta == 0:
             w = 1.0 / d
             y_new = (P * w[:, None]).sum(axis=0) / w.sum()
         else:
-            on_point = d < _ZERO_ROW_TOL
-            if on_point.all():
+            if eta == P.shape[0]:
                 return y
             w = 1.0 / d[~on_point]
             T = (P[~on_point] * w[:, None]).sum(axis=0) / w.sum()
-            eta = int(on_point.sum())
-            if eta == 0:
-                y_new = T
-            else:
-                r = np.linalg.norm((T - y) * w.sum())
-                if r <= eta:
-                    return y
-                step = eta / r
-                y_new = (1.0 - step) * T + step * y
+            r = np.linalg.norm((T - y) * w.sum())
+            if r <= eta:
+                return y
+            step = eta / r
+            y_new = (1.0 - step) * T + step * y
         if np.linalg.norm(y_new - y) < tol:
             return y_new
         y = y_new

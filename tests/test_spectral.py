@@ -442,9 +442,16 @@ def test_geometric_median_matches_reference_bitwise(index):
 
 
 def test_geometric_median_reference_covers_an_iterate_on_a_point():
-    plus = exactness_inputs()[3][0][:5]
-    assert np.array_equal(plus.mean(axis=0), plus[0])  # the first iterate is a data point
-    assert geometric_median(plus).tobytes() == weiszfeld_reference(plus).tobytes()
+    # The first iterate is a data point.  In the kite the unit vectors to
+    # the other points sum to length 0.41 < 1, so it is the median; in the
+    # lopsided set they sum to length 2 and the Vardi-Zhang step moves on.
+    kite = np.array([[0.0, 0.0], [-2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+    lopsided = np.array([[0.0, 0.0], [-3.0, 0.0], [1.0, 0.5], [1.0, -0.5], [1.0, 0.0]])
+    for P in (kite, lopsided):
+        assert np.array_equal(P.mean(axis=0), P[0])
+        assert geometric_median(P).tobytes() == weiszfeld_reference(P).tobytes()
+    assert np.array_equal(geometric_median(kite), kite[0])
+    assert geometric_median(lopsided)[0] > 0.5
 
 
 CLUSTERERS = [
@@ -485,23 +492,40 @@ def test_memo_skips_labelings_followed_by_a_tie():
     assert np.array_equal(second[0], free[0]) and second[2] == free[2]
 
 
-def test_memo_respects_the_iteration_budget_warns_at_max_iter(caplog):
-    # The second run reaches the first run's labels [0, 0, 0, 1, 1, 1] at
-    # iteration 1, one center update before they settle.
-    X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+# The run from LATE reaches the labels [0, 0, 0, 1, 1, 1] of the run from
+# EARLY at iteration 1, one center update before they settle.
+BUDGET_X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+EARLY, LATE = np.array([[0.0], [11.0]]), np.array([[0.0], [1.0]])
+
+
+def test_memo_stops_a_run_that_settles_within_its_budget():
     memo = {}
-    _alternate(X, np.array([[0.0], [11.0]]), _mean, True, memo=memo)
-    late = np.array([[0.0], [1.0]])
-    assert _alternate(X, late, _mean, True, max_iter=3, memo=memo) is None
-    short = _alternate(X, late, _mean, True, max_iter=2, memo=memo)
-    free = _alternate(X, late, _mean, True, max_iter=2)
-    assert short is not None and "max_iter=2" in caplog.text
+    assert _alternate(BUDGET_X, EARLY, _mean, True, memo=memo) is not None
+    assert _alternate(BUDGET_X, LATE, _mean, True, max_iter=3, memo=memo) is None
+    assert _alternate(BUDGET_X, LATE, _mean, True, memo=memo) is None
+
+
+def test_memo_lets_a_run_without_the_budget_go_on_warns_at_max_iter(caplog):
+    memo = {}
+    _alternate(BUDGET_X, EARLY, _mean, True, memo=memo)
+    short = _alternate(BUDGET_X, LATE, _mean, True, max_iter=2, memo=memo)
+    free = _alternate(BUDGET_X, LATE, _mean, True, max_iter=2)
+    assert short is not None
     assert np.array_equal(short[0], free[0]) and short[1].tobytes() == free[1].tobytes()
-    # an unsettled run records nothing: the same start then runs to the end
+    messages = [r.getMessage() for r in caplog.get_records("call")]
+    assert sum("max_iter=2 before the labels settled" in m for m in messages) == 2
+    assert sum("labels settled" in m for m in messages) == 2
+
+
+def test_memo_records_nothing_from_an_unsettled_run_warns_at_max_iter(caplog):
+    # the same start, after a run cut at max_iter=1, runs to the end
     memo = {}
-    _alternate(X, late, _mean, True, max_iter=1, memo=memo)
-    full = _alternate(X, late, _mean, True, memo=memo)
-    assert full is not None and full[2] == _alternate(X, late, _mean, True)[2]
+    _alternate(BUDGET_X, LATE, _mean, True, max_iter=1, memo=memo)
+    full = _alternate(BUDGET_X, LATE, _mean, True, memo=memo)
+    assert full is not None and full[2] == _alternate(BUDGET_X, LATE, _mean, True)[2]
+    messages = [r.getMessage() for r in caplog.get_records("call")]
+    assert [m for m in messages if "labels settled" in m] == [
+        "clustering of 6 points into 2 clusters stopped at max_iter=1 before the labels settled"]
 
 
 @pytest.mark.parametrize("cluster", [kmeans, kmedian_spherical])
