@@ -67,6 +67,8 @@ def cmd_simulate(args):
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     n, k = args.n, args.k
+    if k < 1:
+        raise ValueError(f"--k must be >= 1, got {k}")
     sizes = [n // k] * k
     sizes[-1] += n - sum(sizes)
     g = np.repeat(np.arange(1, k + 1), sizes)

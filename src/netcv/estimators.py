@@ -96,19 +96,11 @@ def _pair_counts(N1, N2, g, k, weights=None):
     {a+1, b+1}, weighted by weights_i * weights_j when weights is given."""
     N1 = np.asarray(N1, dtype=np.int64)
     N2 = np.asarray(N2, dtype=np.int64)
-    if weights is None:
-        w1 = np.ones(N1.size)
-        w2 = np.ones(N2.size)
-    else:
-        w1 = weights[N1]
-        w2 = weights[N2]
-    g1 = g[N1]
-    t1 = np.zeros(k)
-    np.add.at(t1, g1 - 1, w1)
-    q1 = np.zeros(k)
-    np.add.at(q1, g1 - 1, w1**2)
-    t2 = np.zeros(k)
-    np.add.at(t2, g[N2] - 1, w2)
+    w1 = np.ones(N1.size) if weights is None else weights[N1]
+    w2 = np.ones(N2.size) if weights is None else weights[N2]
+    t1 = np.bincount(g[N1] - 1, w1, k)
+    q1 = np.bincount(g[N1] - 1, w1**2, k)
+    t2 = np.bincount(g[N2] - 1, w2, k)
     Den = np.outer(t1, t1) + np.outer(t1, t2) + np.outer(t2, t1)
     np.fill_diagonal(Den, (t1**2 - q1) / 2.0 + t1 * t2)
     return Den

@@ -64,6 +64,16 @@ class ExperimentSpec:
             self.n1 = tuple(int(x) for x in self.n1)
 
 
+def _write_csv(path_or_file, columns, rows):
+    """Write dict rows as CSV to an open text file or to a path."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="") as fh:
+            return _write_csv(fh, columns, rows)
+    w = csv.DictWriter(path_or_file, fieldnames=columns, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+
+
 @dataclass
 class SuccessTable:
     which: str
@@ -72,21 +82,11 @@ class SuccessTable:
     rows: list = field(default_factory=list)
 
     def to_csv(self, path_or_file):
-        if hasattr(path_or_file, "write"):
-            self._write_csv(path_or_file)
-        else:
-            with open(path_or_file, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh):
-        w = csv.DictWriter(fh, fieldnames=self.columns, lineterminator="\n")
-        w.writeheader()
-        for row in self.rows:
-            w.writerow(row)
+        _write_csv(path_or_file, self.columns, self.rows)
 
     def csv_text(self):
         buf = io.StringIO()
-        self._write_csv(buf)
+        self.to_csv(buf)
         return buf.getvalue()
 
     def to_json(self, indent=2):
@@ -228,17 +228,7 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
 
 def write_loss_curves_csv(curves, path_or_file):
     """CSV writer for the per-candidate total-loss curves."""
-    def _write(fh):
-        w = csv.DictWriter(fh, fieldnames=["model", "K", "total_loss"],
-                           lineterminator="\n")
-        w.writeheader()
-        for row in curves:
-            w.writerow(row)
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
+    _write_csv(path_or_file, ["model", "K", "total_loss"], curves)
 
 
 def run_experiment(spec: ExperimentSpec) -> SuccessTable:

@@ -101,8 +101,9 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
 
     Fits on the rectangle of rows outside N_v, then sums the loss over
     ordered pairs i != j inside N_v (twice the unordered sum, by
-    symmetry; the argmin is unaffected).  A precomputed SingularBasis
-    of the rectangle may be passed to share the SVD across candidates.
+    symmetry; the argmin is unaffected).  A is a 0/1 adjacency matrix.  A
+    precomputed SingularBasis of the rectangle may be passed to share the
+    SVD across candidates.
     """
     check_candidate(candidate)
     kind = canonical_loss(fn)
@@ -122,9 +123,18 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
         fit = estimate_dcbm(A, fit_rows, Nv, g_hat, psi, candidate.K)
         held_out = replace(fit, g_hat=fit.g_hat[Nv],
                            psi_prime_hat=fit.psi_prime_hat[Nv])
+    # On 0/1 entries these terms are the bits of _loss_array(kind, x, p),
+    # computed in place: (p - 1)^2 or p^2; log(p) or log1p(-p), negated.
     off = ~np.eye(Nv.size, dtype=bool)
-    x = np.asarray(A[np.ix_(Nv, Nv)], dtype=float)[off]
-    return float(_loss_array(kind, x, predict_P_matrix(held_out)[off]).sum())
+    edge = A[np.ix_(Nv, Nv)][off] != 0
+    p = predict_P_matrix(held_out)[off]
+    if kind == "squared":
+        p[edge] -= 1.0
+        return float(np.square(p, out=p).sum())
+    log_p = np.log(p[edge])
+    np.log1p(np.negative(p, out=p), out=p)
+    p[edge] = log_p
+    return float(-p.sum())
 
 
 def _cell_rng(seed, candidate, v):

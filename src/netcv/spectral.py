@@ -10,22 +10,19 @@ rows for the plain block model, and k-median on the row-normalized
 ("spherical") rows for the degree-corrected model, whose row norms
 carry the node-activeness information.
 
-Both clusterers keep the best of several seeded restarts, replacing it
-only with a strictly smaller objective.  The restarts of one call share
-a memo of the labelings earlier restarts passed through before their
-labels settled, with clusters renumbered by first appearance.  From a
-labeling with no empty cluster, the rest of a run depends only on the
-labeling up to cluster names, so a restart that reaches a recorded one
-would end with an objective already seen, and it stops there.  Ties go
-to the lower cluster number and empty clusters are reseeded in cluster
-order, so a labeling followed by an assignment tie or an empty cluster
-is not recorded; and a restart stops only if the recorded steps fit in
-its remaining iterations.  Results are the same bits as without the memo.
+Both clusterers keep the best of several seeded restarts.  All start
+centers are drawn first, in restart order (the runs draw no random
+numbers); the runs then go in lockstep, each pass assigning and updating
+every run not yet settled.  Each run does the arithmetic of a run on its
+own, in the same order, and the first run with the smallest objective
+wins, so the result is the bits of sequential restarts that replace the
+best only on a strictly smaller objective.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -127,112 +124,113 @@ def _dist(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
-def _assign(X: np.ndarray, centers: np.ndarray):
-    """Nearest-center labels (0-based; ties to the lowest index), distances,
-    and whether some point is equally near two centers."""
-    d = _dist(X[:, None, :] - centers[None, :, :])
-    dist = d.min(axis=1)
-    return np.argmin(d, axis=1), dist, np.count_nonzero(d == dist[:, None]) > dist.size
+def _nearest(X: np.ndarray, XT: np.ndarray, centers: np.ndarray):
+    """Nearest-center labels (0-based; ties to the lowest index) and
+    distances, each (runs, n), for centers (runs, k, d) and ``XT = X.T``
+    C-contiguous: the bits of ``_dist`` on ``X[:, None, :] - centers[r]``,
+    summed column by column from ``XT`` below width 8 (a running strict
+    ``<`` keeps argmin's first minimum), else from that expression on the
+    caller's X, since a copy of X laid out otherwise can sum in another order."""
+    runs, k, d = centers.shape
+    if not 0 < d < 8:
+        D = np.stack([_dist(X[:, None, :] - c[None, :, :]) for c in centers])
+        return D.argmin(axis=2), D.min(axis=2)
+    labels = np.zeros((runs, X.shape[0]), dtype=np.intp)
+    for j in range(k):
+        s = (XT[0] - centers[:, j, :1]) ** 2
+        for t in range(1, d):
+            s += (XT[t] - centers[:, j, t:t + 1]) ** 2
+        dj = np.sqrt(s)
+        if j == 0:
+            dist = dj
+        else:
+            closer = dj < dist
+            labels[closer] = j
+            np.minimum(dist, dj, out=dist)
+    return labels, dist
 
 
-def _repair_empty(X, centers, labels, dist, k):
-    """Reseed each empty cluster at the point farthest from its current
-    center.  Returns whether any center moved; when none did, the next
-    update reproduces the current centers."""
-    counts = np.bincount(labels, minlength=k)
-    empties = np.nonzero(counts == 0)[0]
-    if empties.size == 0:
-        return False
+def _repair_empty(X, centers, labels, dist):
+    """Reseed each empty cluster of each run, in cluster order, at the point
+    farthest from its run's current center, in place.  Returns per run
+    whether a center moved (if none did, the next update changes nothing)."""
+    runs, k, _ = centers.shape
+    counts = np.bincount((labels + k * np.arange(runs)[:, None]).ravel(), minlength=runs * k)
+    moved = np.zeros(runs, dtype=bool)
     d = dist.copy()
-    moved = False
-    for c in empties:
-        idx = int(np.argmax(d))
-        moved = moved or not np.array_equal(centers[c], X[idx])
-        centers[c] = X[idx]
-        d[idx] = -1.0
-    logger.debug("reseeded %d empty cluster(s)", empties.size)
+    for r, c in np.argwhere(counts.reshape(runs, k) == 0):
+        idx = int(np.argmax(d[r]))
+        moved[r] |= not np.array_equal(centers[r, c], X[idx])
+        centers[r, c] = X[idx]
+        d[r, idx] = -1.0
+        logger.debug("reseeded empty cluster %d at point %d", c, idx)
     return moved
 
 
-def _objective(dist: np.ndarray, squared: bool) -> float:
-    return float(np.sum(dist**2)) if squared else float(dist.sum())
+def _each_cluster(center_of, X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+    """Move each nonempty cluster's center to ``center_of`` its points, for
+    labels (runs, n) and centers (runs, k, d), in place."""
+    for run, run_centers in zip(labels, centers):
+        for c in np.unique(run):
+            run_centers[c] = center_of(X[run == c])
 
 
-def _canonical(labels: np.ndarray, k: int):
-    """The labeling with clusters renumbered by first appearance, as bytes,
-    or None when some cluster is empty."""
-    hit = labels == np.arange(k)[:, None]
-    if not hit.any(axis=1).all():
-        return None
-    rank = np.empty(k, dtype=labels.dtype)
-    rank[np.argsort(hit.argmax(axis=1))] = np.arange(k)
-    return rank[labels].astype(np.min_scalar_type(k)).tobytes()
+def _means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+    """The k-means update of ``_each_cluster`` with the mean.  From width 2 on
+    ``np.bincount`` adds a cluster's rows in order, as ``X[mask].mean(axis=0)``
+    does; at width 1 NumPy's mean sums pairwise, so it is called per cluster."""
+    runs, k, d = centers.shape
+    if d < 2:
+        return _each_cluster(lambda P: P.mean(axis=0), X, labels, centers)
+    bins = (labels + k * np.arange(runs)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=runs * k)
+    sums = np.stack([np.bincount(bins, np.tile(X[:, j], runs), runs * k)
+                     for j in range(d)], axis=1)
+    full = counts > 0
+    centers.reshape(runs * k, d)[full] = sums[full] / counts[full, None]
 
 
 def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
-               max_iter: int = 100, memo: dict | None = None):
-    """Alternating assignment / center updates from the given centers.
-
-    ``update`` maps the points of one cluster to its new center (the mean
-    for k-means, the geometric median for k-median); the objective is the
-    sum of squared distances when ``squared``, else of plain distances.
-    Returns labels, centers, objective and the per-iteration objective
-    trace (nonincreasing).
-
-    ``memo`` is the restart memo of ``_cluster`` (see the module
-    docstring).  The run records its labelings there when its labels
-    settle, and returns None instead when it reaches a labeling that an
-    earlier run recorded and would settle within ``max_iter``.
-    """
-    k = centers.shape[0]
-    centers = centers.copy()
-    labels = None
-    trace = []
-    seen = []  # (key, iteration) of labelings whose run since was tie- and repair-free
-    for it in range(max_iter):
-        new_labels, dist, tied = _assign(X, centers)
-        trace.append(_objective(dist, squared))
-        key = None if memo is None else _canonical(new_labels, k)
-        if tied or key is None:
-            seen.clear()
-        moved = _repair_empty(X, centers, new_labels, dist, k)
-        if not moved and labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
+               max_iter: int = 100):
+    """Alternating assignment / center updates of several runs in lockstep,
+    from centers (runs, k, d); returns labels (runs, n), centers and
+    objectives (runs,).  ``update(X, labels, centers)`` moves the centers
+    of the runs still going, in place; the objective sums squared
+    distances when ``squared``, else plain ones.  A run stops once its
+    labels are unchanged and no empty-cluster repair moved a center; a
+    run still going at ``max_iter`` logs a warning."""
+    XT = np.ascontiguousarray(X.T)
+    labels = np.full((len(centers), len(X)), -1, dtype=np.intp)
+    final = np.empty_like(centers)
+    going, moving = np.arange(len(centers)), centers.copy()
+    for _ in range(max_iter):
+        new, dist = _nearest(X, XT, moving)
+        on = _repair_empty(X, moving, new, dist) | (new != labels[going]).any(axis=1)
+        labels[going] = new
+        final[going[~on]] = moving[~on]
+        going, moving = going[on], moving[on]
+        if going.size == 0:
             break
-        labels = new_labels
-        if key is not None:
-            if key in memo and memo[key] < max_iter - it:
-                return None
-            seen.append((key, it))
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = update(X[mask])
-    else:
-        logger.warning("clustering of %d points into %d clusters stopped at "
-                       "max_iter=%d before the labels settled", X.shape[0], k, max_iter)
-        seen.clear()
-    for key, i in seen:
-        memo[key] = it - i
-    _, dist, _ = _assign(X, centers)
-    return labels, centers, _objective(dist, squared), trace
+        update(X, labels[going], moving)
+    for _ in going:
+        logger.warning("clustering of %d points into %d clusters stopped at max_iter=%d "
+                       "before the labels settled", X.shape[0], centers.shape[1], max_iter)
+    final[going] = moving
+    dist = _nearest(X, XT, final)[1]
+    return labels, final, (dist**2).sum(axis=1) if squared else dist.sum(axis=1)
 
 
 def _cluster(X, k: int, rng: np.random.Generator, restarts: int, max_iter: int,
              update, squared: bool) -> ClusterResult:
-    """Best of ``restarts`` seeded runs of the alternating loop; a later run
-    replaces the best only with a strictly smaller objective."""
+    """Best of ``restarts`` seeded runs of the alternating loop, run in
+    lockstep; ties in the objective go to the earliest run."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} rows, got {X.shape[0]}")
-    best = None
-    memo = {}
-    for _ in range(restarts):
-        centers0 = _seed_centers(X, k, rng, squared=squared)
-        run = _alternate(X, centers0, update, squared, max_iter, memo)
-        if run is not None and (best is None or run[2] < best[2]):
-            best = run
-    return ClusterResult(best[0] + 1, best[1], best[2])
+    seeds = np.stack([_seed_centers(X, k, rng, squared=squared) for _ in range(restarts)])
+    labels, centers, objectives = _alternate(X, seeds, update, squared, max_iter)
+    best = int(np.argmin(objectives))
+    return ClusterResult(labels[best] + 1, centers[best].copy(), float(objectives[best]))
 
 
 def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
@@ -245,8 +243,7 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
     center; if the data cannot fill k clusters, the result may leave
     some labels unused.
     """
-    return _cluster(X, k, rng, restarts, max_iter, lambda P: P.mean(axis=0),
-                    squared=True)
+    return _cluster(X, k, rng, restarts, max_iter, _means, squared=True)
 
 
 def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
@@ -283,8 +280,17 @@ def kmedian_spherical(X: np.ndarray, k: int, rng: np.random.Generator,
                       restarts: int = 10, max_iter: int = 100) -> ClusterResult:
     """k-median clustering: centers are geometric medians, the objective is
     the sum of Euclidean (not squared) distances to assigned centers.
-    Intended for row-normalized singular-vector rows."""
-    return _cluster(X, k, rng, restarts, max_iter, geometric_median, squared=False)
+    Intended for row-normalized singular-vector rows.  Restarts that reach
+    the same cluster share its median, computed once from the same bytes."""
+    medians = {}
+
+    def median(P):
+        key = P.tobytes()
+        if key not in medians:
+            medians[key] = geometric_median(P)
+        return medians[key]
+    return _cluster(X, k, rng, restarts, max_iter, partial(_each_cluster, median),
+                    squared=False)
 
 
 def spherical_embed(U: np.ndarray):

@@ -66,6 +66,15 @@ def test_simulate_dcbm_psi_length_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_simulate_rejects_nonpositive_k(tmp_path, capsys, k):
+    code = main(["simulate", "sbm", "--n", "20", "--k", k, "--b-diag", "0.5",
+                 "--b-off", "0.1", "--seed", "1", "--output", str(tmp_path / "e.txt")])
+    assert code == 2
+    assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not (tmp_path / "e.txt").exists()
+
+
 # ---------------------------------------------------------------- select
 
 def test_select_reports_json(graph_file, capsys):

@@ -1,8 +1,8 @@
 """Truncated SVD and the two clustering routines."""
 
-import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
-from netcv.spectral import (_alternate, _dist, _seed_centers,
-                            geometric_median, kmeans, kmedian_spherical,
+from netcv.spectral import (_alternate, _dist, _each_cluster, _means, _nearest,
+                            _seed_centers, geometric_median, kmeans, kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
                             top_k_right_singular)
@@ -340,16 +340,27 @@ def _kmedian_input():
     return X, X[:4].copy()
 
 
+_medians = partial(_each_cluster, geometric_median)
+
 OBJECTIVES = [
-    pytest.param(_lloyd_input, lambda P: P.mean(axis=0), True, id="kmeans"),
-    pytest.param(_kmedian_input, geometric_median, False, id="kmedian"),
+    pytest.param(_lloyd_input, _means, True, id="kmeans"),
+    pytest.param(_kmedian_input, _medians, False, id="kmedian"),
 ]
 
 
 @pytest.mark.parametrize("make_input,update,squared", OBJECTIVES)
 def test_alternate_objective_trace_nonincreasing(make_input, update, squared):
     X, centers0 = make_input()
-    _, _, _, trace = _alternate(X, centers0, update, squared)
+    trace = []
+
+    def spy(X, labels, centers):
+        # the objective of this pass's assignment, before the update
+        d = np.linalg.norm(X - centers[0][labels[0]], axis=1)
+        trace.append(np.sum(d**2) if squared else d.sum())
+        update(X, labels, centers)
+    objectives = _alternate(X, centers0[None], spy, squared)[2]
+    trace.append(objectives[0])
+    assert len(trace) > 2
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
 
@@ -357,8 +368,24 @@ def test_alternate_objective_trace_nonincreasing(make_input, update, squared):
 def test_alternate_warns_at_max_iter(make_input, update, squared, caplog):
     X, centers0 = make_input()
     with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
-        _alternate(X, centers0, update, squared, max_iter=1)
-    assert "max_iter=1" in caplog.text and "labels settled" in caplog.text
+        _alternate(X, np.stack([centers0, centers0[::-1]]), update, squared, max_iter=1)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert all("max_iter=1" in m and "labels settled" in m for m in messages)
+
+
+def test_each_capped_run_warns_once_warns_at_max_iter(caplog):
+    # From SETTLES the labels [0, 0, 0, 1, 1, 1] repeat at the second pass;
+    # from CAPPED they still change there, so only the CAPPED runs warn.
+    X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+    SETTLES, CAPPED = np.array([[1.0], [11.0]]), np.array([[0.0], [1.0]])
+    with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+        labels, _, _ = _alternate(X, np.stack([CAPPED, SETTLES, CAPPED]), _means, True,
+                                  max_iter=2)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == ["clustering of 6 points into 2 clusters stopped at max_iter=2 "
+                        "before the labels settled"] * 2
+    assert labels[1].tolist() == [0, 0, 0, 1, 1, 1]
 
 
 # ---------------------------------------------------------------- exactness of the fast paths
@@ -390,22 +417,53 @@ def weiszfeld_reference(P, tol=1e-8, max_iter=500):
     return y
 
 
-def memo_free_reference(X, k, rng, update, squared, restarts=10, max_iter=100):
-    """Best of the seeded restarts, each run to the end without a memo."""
+def reference_run(X, centers, center_of, squared, max_iter=100):
+    """One run of the alternating loop as written before the restarts ran
+    in lockstep: labels, centers and objective."""
+    centers = centers.copy()
+    k = centers.shape[0]
+
+    def assign():
+        d = np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=-1)
+        return np.argmin(d, axis=1), d.min(axis=1)
+    labels = None
+    for _ in range(max_iter):
+        new_labels, dist = assign()
+        moved = False
+        d = dist.copy()
+        for c in np.nonzero(np.bincount(new_labels, minlength=k) == 0)[0]:
+            idx = int(np.argmax(d))
+            moved = moved or not np.array_equal(centers[c], X[idx])
+            centers[c] = X[idx]
+            d[idx] = -1.0
+        if not moved and labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = center_of(X[mask])
+    dist = assign()[1]
+    return labels, centers, float(np.sum(dist**2)) if squared else float(dist.sum())
+
+
+def memo_free_reference(X, k, rng, center_of, squared, restarts=10):
+    """The seeded restarts run one after another, with no restart memo; a
+    later run replaces the best only with a strictly smaller objective."""
     X = np.asarray(X, dtype=float)
     best = None
     for _ in range(restarts):
-        centers0 = _seed_centers(X, k, rng, squared=squared)
-        labels, centers, obj, _ = _alternate(X, centers0, update, squared, max_iter)
-        if best is None or obj < best[2]:
-            best = (labels + 1, centers, obj)
+        run = reference_run(X, _seed_centers(X, k, rng, squared=squared), center_of, squared)
+        if best is None or run[2] < best[2]:
+            best = (run[0] + 1,) + run[1:]
     return best
 
 
 def exactness_inputs():
     """(X, k): k = 1, identical rows, square corners (two optimal splits),
     a cloud whose mean is one of its points, integer points with ties,
-    width 9, and clustered data."""
+    width 9, clustered data, points on a sphere, a Fortran-ordered width
+    9, a strided column slice of an orthonormal basis, and width 1."""
     rng = np.random.default_rng(21)
     plus = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     centers = rng.standard_normal((4, 3)) * 3
@@ -421,7 +479,25 @@ def exactness_inputs():
         (rng.standard_normal((50, 9)), 3),
         (blobs, 4),
         (sphere, 3),
+        (np.asfortranarray(rng.standard_normal((60, 9))), 4),
+        (np.linalg.qr(rng.standard_normal((100, 6)))[0][:, :4], 4),
+        (rng.standard_normal((40, 1)) * 10.0 ** rng.uniform(-3, 3, (40, 1)), 3),
     ]
+
+
+@pytest.mark.parametrize("width", range(17))
+def test_nearest_matches_dist_bitwise(width):
+    rng = np.random.default_rng(100 + width)
+    X = rng.standard_normal((150, width)) * rng.uniform(0.01, 100, width)
+    C = rng.standard_normal((6, 4, width))
+    C[2, 1] = C[2, 3] = C[2, 0]  # three centers tie for every point
+    C[4, 2] = X[7]
+    for Xs in (X, np.asfortranarray(X), np.hstack([X, X])[:, :width]):
+        labels, dist = _nearest(Xs, np.ascontiguousarray(Xs.T), C)
+        for r, c in enumerate(C):
+            d = _dist(Xs[:, None, :] - c[None, :, :])
+            assert np.array_equal(labels[r], np.argmin(d, axis=1))
+            assert dist[r].tobytes() == d.min(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 7, 8, 9, 16])
@@ -460,90 +536,59 @@ CLUSTERERS = [
 ]
 
 
-@pytest.mark.parametrize("index", range(8))
-@pytest.mark.parametrize("cluster,update,squared", CLUSTERERS)
-def test_clusterers_match_memo_free_reference_bitwise(index, cluster, update, squared):
+@pytest.mark.parametrize("index", range(11))
+@pytest.mark.parametrize("cluster,center_of,squared", CLUSTERERS)
+def test_clusterers_match_memo_free_reference_bitwise(index, cluster, center_of, squared):
     X, k = exactness_inputs()[index]
     for seed in range(3):
         got = cluster(X, k, np.random.default_rng(seed))
         labels, centers, obj = memo_free_reference(X, k, np.random.default_rng(seed),
-                                                   update, squared)
+                                                   center_of, squared)
         assert np.array_equal(got.labels, labels)
         assert got.centers.tobytes() == centers.tobytes()
         assert got.objective == obj
 
 
-def _mean(P):
-    return P.mean(axis=0)
+LOCKSTEP_CASES = {
+    # From labels [1, 1, 0, 0, 0] the centers are 4 and 0 and point 2 is at
+    # distance 2 from both: it stays in cluster 0 one way round and crosses
+    # the other way, so the first two runs end apart.
+    "tie": (np.array([[-1.0], [1.0], [2.0], [3.0], [7.0]]),
+            np.array([[[3.5], [0.0]], [[0.0], [3.5]], [[3.5], [3.5]]]), [1, 1, 0, 0, 0]),
+    # From the first start the second pass repeats the labels
+    # [0, 0, 0, 1, 1, 1] while cluster 2 is still empty, and its repair moves
+    # that center from 0 to 11, which takes point 5 on the next pass.  From
+    # the equal centers of the second, two clusters are empty at once.
+    "empty": (np.array([[0.0], [0.0], [0.0], [10.0], [10.0], [11.0]]),
+              np.array([[[1.0], [10.5], [100.0]], [[3.0], [3.0], [3.0]]]), [0, 0, 0, 1, 1, 2]),
+}
 
 
-def test_memo_skips_labelings_followed_by_a_tie():
-    # From labels [1, 1, 0, 0, 0] the centers are 4 and 0, point 2 is at
-    # distance 2 from both and joins cluster 0: the labels settle (objective
-    # 16).  Named the other way round, the tie sends point 2 across and the
-    # run goes on to objective 12.67, so that labeling must not be recorded.
-    X = np.array([[-1.0], [1.0], [2.0], [3.0], [7.0]])
-    memo = {}
-    first = _alternate(X, np.array([[3.5], [0.0]]), _mean, True, memo=memo)
-    second = _alternate(X, np.array([[0.0], [3.5]]), _mean, True, memo=memo)
-    assert first[2] == 16.0
-    assert second is not None and second[2] < first[2]
-    free = _alternate(X, np.array([[0.0], [3.5]]), _mean, True)
-    assert np.array_equal(second[0], free[0]) and second[2] == free[2]
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+@pytest.mark.parametrize("update,center_of,squared", [
+    (_means, lambda P: P.mean(axis=0), True), (_medians, geometric_median, False)],
+    ids=["kmeans", "kmedian"])
+def test_lockstep_runs_match_reference_runs(case, update, center_of, squared):
+    X, starts, first_labels = LOCKSTEP_CASES[case]
+    labels, centers, objectives = _alternate(X, starts, update, squared)
+    for r, start in enumerate(starts):
+        ref = reference_run(X, start, center_of, squared)
+        assert np.array_equal(labels[r], ref[0])
+        assert centers[r].tobytes() == ref[1].tobytes()
+        assert objectives[r] == ref[2]
+    assert labels[0].tolist() == first_labels
 
 
-# The run from LATE reaches the labels [0, 0, 0, 1, 1, 1] of the run from
-# EARLY at iteration 1, one center update before they settle.
-BUDGET_X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
-EARLY, LATE = np.array([[0.0], [11.0]]), np.array([[0.0], [1.0]])
+def test_kmedian_computes_each_clusters_median_once(monkeypatch):
+    seen = []
 
-
-def test_memo_stops_a_run_that_settles_within_its_budget():
-    memo = {}
-    assert _alternate(BUDGET_X, EARLY, _mean, True, memo=memo) is not None
-    assert _alternate(BUDGET_X, LATE, _mean, True, max_iter=3, memo=memo) is None
-    assert _alternate(BUDGET_X, LATE, _mean, True, memo=memo) is None
-
-
-def test_memo_lets_a_run_without_the_budget_go_on_warns_at_max_iter(caplog):
-    memo = {}
-    _alternate(BUDGET_X, EARLY, _mean, True, memo=memo)
-    short = _alternate(BUDGET_X, LATE, _mean, True, max_iter=2, memo=memo)
-    free = _alternate(BUDGET_X, LATE, _mean, True, max_iter=2)
-    assert short is not None
-    assert np.array_equal(short[0], free[0]) and short[1].tobytes() == free[1].tobytes()
-    messages = [r.getMessage() for r in caplog.get_records("call")]
-    assert sum("max_iter=2 before the labels settled" in m for m in messages) == 2
-    assert sum("labels settled" in m for m in messages) == 2
-
-
-def test_memo_records_nothing_from_an_unsettled_run_warns_at_max_iter(caplog):
-    # the same start, after a run cut at max_iter=1, runs to the end
-    memo = {}
-    _alternate(BUDGET_X, LATE, _mean, True, max_iter=1, memo=memo)
-    full = _alternate(BUDGET_X, LATE, _mean, True, memo=memo)
-    assert full is not None and full[2] == _alternate(BUDGET_X, LATE, _mean, True)[2]
-    messages = [r.getMessage() for r in caplog.get_records("call")]
-    assert [m for m in messages if "labels settled" in m] == [
-        "clustering of 6 points into 2 clusters stopped at max_iter=1 before the labels settled"]
-
-
-@pytest.mark.parametrize("cluster", [kmeans, kmedian_spherical])
-def test_memo_stops_restarts_that_reach_a_recorded_labeling(cluster, monkeypatch):
-    runs = []
-    alternate = netcv.spectral._alternate
-
-    def spy(*args, **kwargs):
-        runs.append(alternate(*args, **kwargs))
-        return runs[-1]
-    monkeypatch.setattr(netcv.spectral, "_alternate", spy)
+    def spy(P):
+        seen.append(P.tobytes())
+        return geometric_median(P)
+    monkeypatch.setattr(netcv.spectral, "geometric_median", spy)
     X, k = exactness_inputs()[6]
-    cluster(X, k, np.random.default_rng(0))
-    finished = [r[0] + 1 for r in runs if r is not None]
-    assert len(runs) == 10 and runs[0] is not None
-    assert len(finished) <= 3  # most restarts end in the labeling of an earlier one
-    for a, b in itertools.combinations(finished, 2):
-        assert hamming_up_to_permutation(a, b) > 0
+    kmedian_spherical(X, k, np.random.default_rng(0))
+    assert len(seen) > k and len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------- embedding
