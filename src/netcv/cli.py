@@ -186,6 +186,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -10,13 +10,13 @@ rows for the plain block model, and k-median on the row-normalized
 ("spherical") rows for the degree-corrected model, whose row norms
 carry the node-activeness information.
 
-Both clusterers keep the best of several seeded restarts.  All start
-centers are drawn first, in restart order (the runs draw no random
+Both clusterers keep the best of ``_RESTARTS`` seeded restarts.  All
+start centers are drawn first, in restart order (the runs draw no random
 numbers); the runs then go in lockstep, each pass assigning and updating
 every run not yet settled.  Each run does the arithmetic of a run on its
-own, in the same order, and the first run with the smallest objective
-wins, so the result is the bits of sequential restarts that replace the
-best only on a strictly smaller objective.
+own, and the first run with the smallest objective wins, so the result
+is that of sequential restarts that replace the best only on a strictly
+smaller objective.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 logger = logging.getLogger(__name__)
 
 _ZERO_ROW_TOL = 1e-12
+_RESTARTS = 10
+_MAX_ITER = 100
 
 
 class SingularBasis(NamedTuple):
@@ -102,7 +104,10 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool
         w = dmin**2 if squared else dmin
         total = w.sum()
         if total > 0.0:
-            idx = int(rng.choice(n, p=w / total))
+            # the draw of rng.choice(n, p=w / total), without its checks on p
+            cdf = np.cumsum(w / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
         centers[c] = X[idx]
@@ -111,31 +116,21 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool
 
 
 def _dist(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, bit-identical to
-    ``np.linalg.norm(diff, axis=-1)``.  From width 1 to 7 NumPy adds the
-    squares in order, so summing them column by column gives the same
-    bits without the general routine's overhead; from width 8 on NumPy
-    sums pairwise, so the general routine is used, as it is for width 0."""
-    if not 0 < diff.shape[-1] < 8:
-        return np.linalg.norm(diff, axis=-1)
+    """Euclidean norms along the last axis (width >= 1), the squares summed
+    column by column in order."""
     s = diff[..., 0] ** 2
     for j in range(1, diff.shape[-1]):
         s += diff[..., j] ** 2
     return np.sqrt(s)
 
 
-def _nearest(X: np.ndarray, XT: np.ndarray, centers: np.ndarray):
-    """Nearest-center labels (0-based; ties to the lowest index) and
-    distances, each (runs, n), for centers (runs, k, d) and ``XT = X.T``
-    C-contiguous: the bits of ``_dist`` on ``X[:, None, :] - centers[r]``,
-    summed column by column from ``XT`` below width 8 (a running strict
-    ``<`` keeps argmin's first minimum), else from that expression on the
-    caller's X, since a copy of X laid out otherwise can sum in another order."""
+def _nearest(XT: np.ndarray, centers: np.ndarray):
+    """Nearest-center labels (0-based; ties to the lowest index, kept by a
+    running strict ``<``) and distances, each (runs, n), for centers
+    (runs, k, d) and ``XT = X.T`` C-contiguous: the bits of ``_dist`` on
+    ``X[:, None, :] - centers[r]``, summed column by column from ``XT``."""
     runs, k, d = centers.shape
-    if not 0 < d < 8:
-        D = np.stack([_dist(X[:, None, :] - c[None, :, :]) for c in centers])
-        return D.argmin(axis=2), D.min(axis=2)
-    labels = np.zeros((runs, X.shape[0]), dtype=np.intp)
+    labels = np.zeros((runs, XT.shape[1]), dtype=np.intp)
     for j in range(k):
         s = (XT[0] - centers[:, j, :1]) ** 2
         for t in range(1, d):
@@ -176,12 +171,9 @@ def _each_cluster(center_of, X: np.ndarray, labels: np.ndarray, centers: np.ndar
 
 
 def _means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
-    """The k-means update of ``_each_cluster`` with the mean.  From width 2 on
-    ``np.bincount`` adds a cluster's rows in order, as ``X[mask].mean(axis=0)``
-    does; at width 1 NumPy's mean sums pairwise, so it is called per cluster."""
+    """The k-means update of ``_each_cluster`` with the mean, each cluster's
+    rows summed in order by ``np.bincount``."""
     runs, k, d = centers.shape
-    if d < 2:
-        return _each_cluster(lambda P: P.mean(axis=0), X, labels, centers)
     bins = (labels + k * np.arange(runs)[:, None]).ravel()
     counts = np.bincount(bins, minlength=runs * k)
     sums = np.stack([np.bincount(bins, np.tile(X[:, j], runs), runs * k)
@@ -191,7 +183,7 @@ def _means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
 
 
 def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
-               max_iter: int = 100):
+               max_iter: int = _MAX_ITER):
     """Alternating assignment / center updates of several runs in lockstep,
     from centers (runs, k, d); returns labels (runs, n), centers and
     objectives (runs,).  ``update(X, labels, centers)`` moves the centers
@@ -204,7 +196,7 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
     final = np.empty_like(centers)
     going, moving = np.arange(len(centers)), centers.copy()
     for _ in range(max_iter):
-        new, dist = _nearest(X, XT, moving)
+        new, dist = _nearest(XT, moving)
         on = _repair_empty(X, moving, new, dist) | (new != labels[going]).any(axis=1)
         labels[going] = new
         final[going[~on]] = moving[~on]
@@ -216,40 +208,40 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
         logger.warning("clustering of %d points into %d clusters stopped at max_iter=%d "
                        "before the labels settled", X.shape[0], centers.shape[1], max_iter)
     final[going] = moving
-    dist = _nearest(X, XT, final)[1]
+    dist = _nearest(XT, final)[1]
     return labels, final, (dist**2).sum(axis=1) if squared else dist.sum(axis=1)
 
 
-def _cluster(X, k: int, rng: np.random.Generator, restarts: int, max_iter: int,
-             update, squared: bool) -> ClusterResult:
-    """Best of ``restarts`` seeded runs of the alternating loop, run in
+def _cluster(X, k: int, rng: np.random.Generator, update, squared: bool) -> ClusterResult:
+    """Best of ``_RESTARTS`` seeded runs of the alternating loop, run in
     lockstep; ties in the objective go to the earliest run."""
     X = np.asarray(X, dtype=float)
-    if X.shape[0] < k:
-        raise ValueError(f"need at least k={k} rows, got {X.shape[0]}")
-    seeds = np.stack([_seed_centers(X, k, rng, squared=squared) for _ in range(restarts)])
-    labels, centers, objectives = _alternate(X, seeds, update, squared, max_iter)
+    if X.shape[0] < k or X.shape[1] < 1:
+        raise ValueError(f"need at least k={k} rows and one column, got shape {X.shape}")
+    seeds = np.stack([_seed_centers(X, k, rng, squared=squared) for _ in range(_RESTARTS)])
+    labels, centers, objectives = _alternate(X, seeds, update, squared)
     best = int(np.argmin(objectives))
     return ClusterResult(labels[best] + 1, centers[best].copy(), float(objectives[best]))
 
 
-def kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
-           restarts: int = 10, max_iter: int = 100) -> ClusterResult:
+def kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterResult:
     """k-means with k-means++ seeding, Lloyd iterations and restarts.
 
-    The best objective (sum of squared distances to assigned centers)
-    over ``restarts`` runs is kept.  Deterministic given the generator.
+    The best objective (sum of squared distances to assigned centers) over
+    10 runs of at most 100 passes is kept, deterministic given the generator.
     Empty clusters are reseeded at the point farthest from its current
     center; if the data cannot fill k clusters, the result may leave
     some labels unused.
     """
-    return _cluster(X, k, rng, restarts, max_iter, _means, squared=True)
+    return _cluster(X, k, rng, _means, squared=True)
 
 
 def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
     """Geometric median by Weiszfeld iteration with the Vardi-Zhang correction
     for iterates that coincide with a data point."""
     P = np.ascontiguousarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] < 1:
+        raise ValueError(f"need points as rows with at least one column, got shape {P.shape}")
     y = P.mean(axis=0)
     for _ in range(max_iter):
         d = _dist(P - y)
@@ -276,12 +268,11 @@ def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> n
     return y
 
 
-def kmedian_spherical(X: np.ndarray, k: int, rng: np.random.Generator,
-                      restarts: int = 10, max_iter: int = 100) -> ClusterResult:
+def kmedian_spherical(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterResult:
     """k-median clustering: centers are geometric medians, the objective is
-    the sum of Euclidean (not squared) distances to assigned centers.
-    Intended for row-normalized singular-vector rows.  Restarts that reach
-    the same cluster share its median, computed once from the same bytes."""
+    the sum of Euclidean (not squared) distances to assigned centers; best
+    of 10 runs of at most 100 passes.  Intended for row-normalized rows.
+    Restarts that reach the same cluster share its median, computed once."""
     medians = {}
 
     def median(P):
@@ -289,8 +280,7 @@ def kmedian_spherical(X: np.ndarray, k: int, rng: np.random.Generator,
         if key not in medians:
             medians[key] = geometric_median(P)
         return medians[key]
-    return _cluster(X, k, rng, restarts, max_iter, partial(_each_cluster, median),
-                    squared=False)
+    return _cluster(X, k, rng, partial(_each_cluster, median), squared=False)
 
 
 def spherical_embed(U: np.ndarray):
@@ -309,17 +299,24 @@ def spherical_embed(U: np.ndarray):
     return rows, norms, zero_rows
 
 
+def _top_k(Arect, k: int, basis: SingularBasis | None) -> np.ndarray:
+    """The top-k right singular vectors of Arect, from ``basis`` if given."""
+    if basis is None:
+        basis = top_k_right_singular(Arect, k)
+    if basis.U.shape[1] < k:
+        raise ValueError(f"basis has {basis.U.shape[1]} columns, need k={k}")
+    return basis.U[:, :k]
+
+
 def spectral_cluster_rect(Arect: np.ndarray, k: int, rng: np.random.Generator,
                           basis: SingularBasis | None = None) -> np.ndarray:
     """Membership for all n nodes from an n1 x n rectangular slice:
     k-means on the rows of the top-k right singular vectors.
 
-    A precomputed SingularBasis for Arect may be passed to avoid
-    repeating the decomposition across candidate values of k.
+    A precomputed SingularBasis for Arect, with at least k columns, may be
+    passed to avoid repeating the decomposition across candidate values of k.
     """
-    if basis is None:
-        basis = top_k_right_singular(Arect, k)
-    return kmeans(basis.U[:, :k], k, rng).labels
+    return kmeans(_top_k(Arect, k, basis), k, rng).labels
 
 
 def spherical_spectral_cluster_rect(Arect: np.ndarray, k: int, rng: np.random.Generator,
@@ -331,9 +328,7 @@ def spherical_spectral_cluster_rect(Arect: np.ndarray, k: int, rng: np.random.Ge
     estimated cluster.  Also returns the row norms, which estimate the
     community-normalized node activeness.
     """
-    if basis is None:
-        basis = top_k_right_singular(Arect, k)
-    U = basis.U[:, :k]
+    U = _top_k(Arect, k, basis)
     rows, rownorms, zero_rows = spherical_embed(U)
     nonzero = np.setdiff1d(np.arange(U.shape[0]), zero_rows)
     if nonzero.size < k:

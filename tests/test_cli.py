@@ -114,6 +114,16 @@ def test_select_missing_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_select_out_of_memory_exits_2(graph_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.0 TiB")
+    monkeypatch.setattr("netcv.cli.load_edge_list", exhausted)
+    code = main(["select", "--input", graph_file, "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: not enough memory for this input: "
+                                       "Unable to allocate 3.0 TiB\n")
+
+
 def test_select_infeasible_kmax_exits_2(tmp_path, capsys):
     p = tmp_path / "tiny.txt"
     p.write_text("0 1\n1 2\n2 0\n")

@@ -111,6 +111,22 @@ def test_fold_loss_bitwise_equals_full_matrix_formula(kind):
             assert got == ref, (v, cand)
 
 
+@pytest.mark.parametrize("model", ["sbm", "dcbm"])
+def test_fold_rejects_a_basis_narrower_than_k(model):
+    from netcv.models import sim3_params
+    from netcv.spectral import top_k_right_singular
+
+    rng = np.random.default_rng(31)
+    A = sample(sim3_params(120, 3, model, rng), rng)
+    partition = partition_nodes(120, 3, np.random.default_rng(32))
+    basis = top_k_right_singular(A[np.setdiff1d(np.arange(120), partition[0]), :], 2)
+    with pytest.raises(ValueError, match="basis has 2 columns, need k=4"):
+        fold_fit_validate(A, partition, 0, Candidate(model, 4), "negloglik",
+                          np.random.default_rng(0), basis=basis)
+    fold_fit_validate(A, partition, 0, Candidate(model, 2), "negloglik",
+                      np.random.default_rng(0), basis=basis)
+
+
 def test_fold_too_small_rejected():
     A, _ = planted_A(10)
     partition = [np.array([0]), np.arange(1, 10)]

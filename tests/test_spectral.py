@@ -390,13 +390,22 @@ def test_each_capped_run_warns_once_warns_at_max_iter(caplog):
 
 # ---------------------------------------------------------------- exactness of the fast paths
 
+def in_order_norm(diff):
+    """Euclidean norms along the last axis, the squares added in order."""
+    return np.sqrt(np.cumsum(diff**2, axis=-1)[..., -1])
+
+
+def in_order_mean(P):
+    return np.cumsum(P, axis=0)[-1] / len(P)
+
+
 def weiszfeld_reference(P, tol=1e-8, max_iter=500):
     """The Weiszfeld loop with the Vardi-Zhang step as written before the
-    mask-free fast path, with np.linalg.norm distances."""
+    mask-free fast path, with in-order distances."""
     P = np.asarray(P, dtype=float)
     y = P.mean(axis=0)
     for _ in range(max_iter):
-        d = np.linalg.norm(P - y, axis=1)
+        d = in_order_norm(P - y)
         on_point = d < 1e-12
         if on_point.all():
             return y
@@ -424,7 +433,7 @@ def reference_run(X, centers, center_of, squared, max_iter=100):
     k = centers.shape[0]
 
     def assign():
-        d = np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=-1)
+        d = in_order_norm(X[:, None, :] - centers[None, :, :])
         return np.argmin(d, axis=1), d.min(axis=1)
     labels = None
     for _ in range(max_iter):
@@ -485,28 +494,68 @@ def exactness_inputs():
     ]
 
 
-@pytest.mark.parametrize("width", range(17))
+@pytest.mark.parametrize("width", range(1, 17))
 def test_nearest_matches_dist_bitwise(width):
     rng = np.random.default_rng(100 + width)
     X = rng.standard_normal((150, width)) * rng.uniform(0.01, 100, width)
     C = rng.standard_normal((6, 4, width))
     C[2, 1] = C[2, 3] = C[2, 0]  # three centers tie for every point
     C[4, 2] = X[7]
+    labels, dist = _nearest(np.ascontiguousarray(X.T), C)
     for Xs in (X, np.asfortranarray(X), np.hstack([X, X])[:, :width]):
-        labels, dist = _nearest(Xs, np.ascontiguousarray(Xs.T), C)
         for r, c in enumerate(C):
             d = _dist(Xs[:, None, :] - c[None, :, :])
             assert np.array_equal(labels[r], np.argmin(d, axis=1))
             assert dist[r].tobytes() == d.min(axis=1).tobytes()
 
 
-@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("width", range(1, 17))
 def test_dist_matches_linalg_norm_bitwise(width):
+    # NumPy adds the squares in order below width 8 and pairwise from there
     rng = np.random.default_rng(width)
     X = rng.standard_normal((200, width)) * rng.uniform(0.01, 100, width)
     C = rng.standard_normal((4, width))
     for diff in (X - C[0], X[:, None, :] - C[None, :, :]):
-        assert np.array_equal(_dist(diff), np.linalg.norm(diff, axis=-1))
+        assert _dist(diff).tobytes() == in_order_norm(diff).tobytes()
+        if width < 8:
+            assert np.array_equal(_dist(diff), np.linalg.norm(diff, axis=-1))
+        else:
+            assert np.allclose(_dist(diff), np.linalg.norm(diff, axis=-1), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("cluster", [kmeans, kmedian_spherical,
+                                     lambda X, k, rng: geometric_median(X)],
+                         ids=["kmeans", "kmedian", "median"])
+def test_zero_width_input_is_rejected(cluster):
+    with pytest.raises(ValueError, match="one column"):
+        cluster(np.zeros((5, 0)), 2, np.random.default_rng(0))
+
+
+def choice_seed_reference(X, k, rng, squared):
+    """k-means++ seeding with the draw of ``rng.choice`` and in-order distances."""
+    centers = [X[int(rng.integers(len(X)))]]
+    dmin = in_order_norm(X - centers[0])
+    for _ in range(1, k):
+        w = dmin**2 if squared else dmin
+        total = w.sum()
+        idx = rng.choice(len(X), p=w / total) if total > 0.0 else rng.integers(len(X))
+        centers.append(X[int(idx)])
+        dmin = np.minimum(dmin, in_order_norm(X - centers[-1]))
+    return np.array(centers)
+
+
+def test_seed_centers_draw_as_rng_choice():
+    rng = np.random.default_rng(41)
+    for case in range(300):
+        n = int(rng.integers(2, 400))
+        distinct = rng.standard_normal((int(rng.integers(1, n + 1)), int(rng.integers(1, 7))))
+        X = distinct[rng.integers(len(distinct), size=n)]  # repeated rows weigh 0
+        k, squared = int(rng.integers(1, min(n, 6) + 1)), bool(case % 2)
+        got_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        for _ in range(3):
+            got = _seed_centers(X, k, got_rng, squared)
+            assert got.tobytes() == choice_seed_reference(X, k, ref_rng, squared).tobytes()
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("index", range(8))
@@ -531,7 +580,7 @@ def test_geometric_median_reference_covers_an_iterate_on_a_point():
 
 
 CLUSTERERS = [
-    pytest.param(kmeans, lambda P: P.mean(axis=0), True, id="kmeans"),
+    pytest.param(kmeans, in_order_mean, True, id="kmeans"),
     pytest.param(kmedian_spherical, geometric_median, False, id="kmedian"),
 ]
 
@@ -566,7 +615,7 @@ LOCKSTEP_CASES = {
 
 @pytest.mark.parametrize("case", LOCKSTEP_CASES)
 @pytest.mark.parametrize("update,center_of,squared", [
-    (_means, lambda P: P.mean(axis=0), True), (_medians, geometric_median, False)],
+    (_means, in_order_mean, True), (_medians, geometric_median, False)],
     ids=["kmeans", "kmedian"])
 def test_lockstep_runs_match_reference_runs(case, update, center_of, squared):
     X, starts, first_labels = LOCKSTEP_CASES[case]
