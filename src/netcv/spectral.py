@@ -8,7 +8,12 @@ Community structure is recovered from the top-K right singular vectors
 of a rectangular slice of the adjacency matrix: k-means on the raw
 rows for the plain block model, and k-median on the row-normalized
 ("spherical") rows for the degree-corrected model, whose row norms
-carry the node-activeness information.
+carry the node-activeness information.  A k-median center is the
+geometric median of its cluster, found by Newton's method on the sum of
+distances.  Weiszfeld steps with the Vardi-Zhang correction take over
+where Newton cannot go on (an iterate on a data point, collinear points,
+a stalled line search) and lift it out of a data point that is not the
+median.
 
 Both clusterers keep the best of ``_RESTARTS`` seeded restarts.  All
 start centers are drawn first, in restart order (the runs draw no random
@@ -32,6 +37,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 logger = logging.getLogger(__name__)
 
 _ZERO_ROW_TOL = 1e-12
+_ON_POINT_TOL = 1e-10  # the Newton median hands over to Weiszfeld this close to a point
+_ARMIJO = 1e-4
 _RESTARTS = 10
 _MAX_ITER = 100
 
@@ -148,13 +155,17 @@ def _nearest(XT: np.ndarray, centers: np.ndarray):
 def _repair_empty(X, centers, labels, dist):
     """Reseed each empty cluster of each run, in cluster order, at the point
     farthest from its run's current center, in place.  Returns per run
-    whether a center moved (if none did, the next update changes nothing)."""
+    whether a center moved (if none did, the next update changes nothing).
+    A run whose points all sit within ``_ZERO_ROW_TOL`` of a center has
+    nothing left to split off, so its empty clusters stay empty."""
     runs, k, _ = centers.shape
     counts = np.bincount((labels + k * np.arange(runs)[:, None]).ravel(), minlength=runs * k)
     moved = np.zeros(runs, dtype=bool)
     d = dist.copy()
     for r, c in np.argwhere(counts.reshape(runs, k) == 0):
         idx = int(np.argmax(d[r]))
+        if d[r, idx] < _ZERO_ROW_TOL:
+            continue
         moved[r] |= not np.array_equal(centers[r, c], X[idx])
         centers[r, c] = X[idx]
         d[r, idx] = -1.0
@@ -236,13 +247,10 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterResult:
     return _cluster(X, k, rng, _means, squared=True)
 
 
-def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
-    """Geometric median by Weiszfeld iteration with the Vardi-Zhang correction
-    for iterates that coincide with a data point."""
-    P = np.ascontiguousarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[1] < 1:
-        raise ValueError(f"need points as rows with at least one column, got shape {P.shape}")
-    y = P.mean(axis=0)
+def _weiszfeld(P: np.ndarray, y: np.ndarray, tol: float, max_iter: int):
+    """Weiszfeld iteration from y, with the Vardi-Zhang step for an iterate
+    on a data point; returns the last iterate and whether a step fell
+    below tol within max_iter steps."""
     for _ in range(max_iter):
         d = _dist(P - y)
         on_point = d < _ZERO_ROW_TOL
@@ -252,19 +260,101 @@ def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> n
             y_new = (P * w[:, None]).sum(axis=0) / w.sum()
         else:
             if eta == P.shape[0]:
-                return y
+                return y, True
             w = 1.0 / d[~on_point]
             T = (P[~on_point] * w[:, None]).sum(axis=0) / w.sum()
             r = np.linalg.norm((T - y) * w.sum())
             if r <= eta:
-                return y
+                return y, True
             step = eta / r
             y_new = (1.0 - step) * T + step * y
         if np.linalg.norm(y_new - y) < tol:
-            return y_new
+            return y_new, True
         y = y_new
-    logger.warning("geometric median of %d points stopped at max_iter=%d "
-                   "before the step fell below tol=%g", P.shape[0], max_iter, tol)
+    return y, False
+
+
+def _newton_step(P: np.ndarray, y: np.ndarray, diff: np.ndarray, d: np.ndarray, tol: float):
+    """One Newton step on f(y) = sum_i ||x_i - y|| from y, where diff = y - P
+    and d holds its row norms, halved until f falls by an Armijo fraction.
+    Returns (y, diff, d, reason): the new iterate, or the old one with the
+    reason Newton stops there ("on a point", "singular", "stall"), or
+    y - s with reason "converged" once the step s is below tol."""
+    if d.min() < _ON_POINT_TOL:
+        return y, diff, d, "on a point"
+    w = 1.0 / d
+    u = diff * w[:, None]
+    g = u.sum(axis=0)
+    try:
+        s = np.linalg.solve(w.sum() * np.eye(len(g)) - (u.T * w) @ u, g)
+    except np.linalg.LinAlgError:
+        return y, diff, d, "singular"
+    slope = g @ s
+    if not 0.0 < slope < np.inf:  # no finite descent step: H is (near) singular
+        return y, diff, d, "singular"
+    length = np.linalg.norm(s)
+    if length < tol:
+        return y - s, diff, d, "converged"
+    f, t = d.sum(), 1.0
+    while t * length >= tol:
+        y_t = y - t * s
+        diff_t = y_t - P
+        d_t = _dist(diff_t)
+        if d_t.sum() <= f - _ARMIJO * t * slope:
+            return y_t, diff_t, d_t, None
+        t *= 0.5
+    return y, diff, d, "stall"
+
+
+def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
+    """Geometric median: the point y that minimises f(y) = sum_i ||x_i - y||.
+
+    Newton's method on f from the mean, which converges quadratically
+    (Overton 1983).  With d_i = ||y - x_i|| and u_i = (y - x_i) / d_i the
+    gradient is g = sum_i u_i and the Hessian is
+    H = (sum_i 1/d_i) I - sum_i u_i u_i^T / d_i.  The step s = H^{-1} g is
+    halved until f falls by an Armijo fraction of g.s, and y - s is
+    returned once ||s|| < tol.
+
+    Newton stops when an iterate comes within 1e-10 of a data point, when
+    H is singular (collinear points) or when the halving stalls below tol.
+    If f is lower at the data point nearest to the iterate, Newton has been
+    drawn into the kink f has there: one Weiszfeld step from that point,
+    with the Vardi-Zhang correction, either confirms it as the median or
+    leaves it downhill, and Newton resumes.  Otherwise Weiszfeld iteration
+    goes on from the iterate.  ``max_iter`` bounds the Newton and Weiszfeld
+    steps together; a call that reaches it logs a warning and returns the
+    last iterate.
+    """
+    P = np.ascontiguousarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
+        raise ValueError(f"need at least one point as a row with at least one column, "
+                         f"got shape {P.shape}")
+    y = P.mean(axis=0)
+    diff = y - P
+    d = _dist(diff)
+    for steps in range(max_iter):
+        y, diff, d, reason = _newton_step(P, y, diff, d, tol)
+        if reason == "converged":
+            return y
+        if reason is None:
+            continue
+        logger.debug("geometric median of %d points: Newton fell back to Weiszfeld (%s)",
+                     P.shape[0], reason)
+        near = P[np.argmin(d)]
+        if not _dist(P - near).sum() < d.sum():
+            break
+        y, settled = _weiszfeld(P, near.copy(), tol, 1)
+        if settled:
+            return y
+        diff = y - P
+        d = _dist(diff)
+    else:
+        steps = max_iter
+    y, settled = _weiszfeld(P, y, tol, max_iter - steps)
+    if not settled:
+        logger.warning("geometric median of %d points stopped at max_iter=%d "
+                       "before the step fell below tol=%g", P.shape[0], max_iter, tol)
     return y
 
 

@@ -14,7 +14,8 @@ import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
 from netcv.spectral import (_alternate, _dist, _each_cluster, _means, _nearest,
-                            _seed_centers, geometric_median, kmeans, kmedian_spherical,
+                            _seed_centers, _weiszfeld, geometric_median, kmeans,
+                            kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
                             top_k_right_singular)
@@ -22,11 +23,12 @@ from netcv.spectral import (_alternate, _dist, _each_cluster, _means, _nearest,
 
 @pytest.fixture(autouse=True)
 def _clustering_settles(request, caplog):
-    """Every clustering run here, at its default max_iter, settles its labels."""
+    """Every clustering run here settles its labels, and every geometric
+    median its step, within the default max_iter."""
     yield
     if "warns_at_max_iter" not in request.node.name:
         messages = [r.getMessage() for r in caplog.get_records("call")]
-        assert not any("labels settled" in m for m in messages)
+        assert not any("labels settled" in m or "fell below tol" in m for m in messages)
 
 
 # ---------------------------------------------------------------- oracles
@@ -218,6 +220,17 @@ def test_kmeans_identical_rows_repairs_empty_cluster():
     assert set(res.labels) <= {1, 2}
 
 
+@pytest.mark.parametrize("cluster", [kmeans, kmedian_spherical], ids=["kmeans", "kmedian"])
+def test_fewer_distinct_rows_than_k_settles(cluster, caplog):
+    # The mean of these equal rows is not bitwise the row, so a reseed onto
+    # the row would pull every point over and empty the other cluster.
+    X = np.tile(np.random.default_rng(0).standard_normal(4), (118, 1))
+    with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+        res = cluster(X, 2, np.random.default_rng(0))
+    assert caplog.text == ""
+    assert len(set(res.labels.tolist())) == 1
+
+
 def test_kmeans_square_corners_matches_enumeration():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     oracle = best_two_means_oracle(X)
@@ -261,6 +274,11 @@ def test_geometric_median_singleton_and_symmetric():
     assert np.allclose(geometric_median(pt), [2.0, 3.0])
     square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     assert np.allclose(geometric_median(square), [0.0, 0.0], atol=1e-7)
+
+
+def test_geometric_median_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="at least one point"):
+        geometric_median(np.zeros((0, 2)))
 
 
 def test_geometric_median_collinear_matches_scan():
@@ -560,23 +578,120 @@ def test_seed_centers_draw_as_rng_choice():
 
 @pytest.mark.parametrize("index", range(8))
 def test_geometric_median_matches_reference_bitwise(index):
+    # geometric_median's Weiszfeld fallback, started at the mean
     X, _ = exactness_inputs()[index]
     for P in (X, X[: max(1, len(X) // 3)], X[:1]):
-        assert geometric_median(P).tobytes() == weiszfeld_reference(P).tobytes()
-    assert geometric_median(X, tol=1e-12).tobytes() == weiszfeld_reference(X, tol=1e-12).tobytes()
+        y, settled = _weiszfeld(P, P.mean(axis=0), 1e-8, 500)
+        assert settled and y.tobytes() == weiszfeld_reference(P).tobytes()
+    y, settled = _weiszfeld(X, X.mean(axis=0), 1e-12, 500)
+    assert settled and y.tobytes() == weiszfeld_reference(X, tol=1e-12).tobytes()
+
+
+# The mean of each is its first point.  In the kite the unit vectors to the
+# other points sum to length 0.41 < 1, so it is the median; in the lopsided
+# set they sum to length 2 and the Vardi-Zhang step moves on.
+KITE = np.array([[0.0, 0.0], [-2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+LOPSIDED = np.array([[0.0, 0.0], [-3.0, 0.0], [1.0, 0.5], [1.0, -0.5], [1.0, 0.0]])
 
 
 def test_geometric_median_reference_covers_an_iterate_on_a_point():
-    # The first iterate is a data point.  In the kite the unit vectors to
-    # the other points sum to length 0.41 < 1, so it is the median; in the
-    # lopsided set they sum to length 2 and the Vardi-Zhang step moves on.
-    kite = np.array([[0.0, 0.0], [-2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
-    lopsided = np.array([[0.0, 0.0], [-3.0, 0.0], [1.0, 0.5], [1.0, -0.5], [1.0, 0.0]])
-    for P in (kite, lopsided):
+    for P in (KITE, LOPSIDED):
         assert np.array_equal(P.mean(axis=0), P[0])
         assert geometric_median(P).tobytes() == weiszfeld_reference(P).tobytes()
-    assert np.array_equal(geometric_median(kite), kite[0])
-    assert geometric_median(lopsided)[0] > 0.5
+    assert np.array_equal(geometric_median(KITE), KITE[0])
+    assert geometric_median(LOPSIDED)[0] > 0.5
+
+
+def median_objective(P, y):
+    return in_order_norm(P - y).sum()
+
+
+def median_sets():
+    """name -> points: each exactness input, its first third and its first
+    row, and the kite, lopsided, collinear, duplicate-point and two-point
+    sets."""
+    sets = {"kite": KITE, "lopsided": LOPSIDED,
+            "collinear": np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [10.0, 10.0]]),
+            "duplicates": np.array([[1.0, 2.0]] * 3 + [[0.0, 0.0], [2.0, 0.5]]),
+            "two-point": np.array([[0.0, 0.0], [1.0, 2.0]])}
+    for i, (X, _) in enumerate(exactness_inputs()):
+        sets.update({f"input{i}": X, f"input{i}-third": X[: max(1, len(X) // 3)],
+                     f"input{i}-row": X[:1]})
+    return sets
+
+
+@pytest.mark.parametrize("name", median_sets())
+def test_geometric_median_objective_matches_tight_reference(name):
+    P = median_sets()[name]
+    ref = median_objective(P, weiszfeld_reference(P, tol=1e-14))
+    assert median_objective(P, geometric_median(P)) <= ref * (1 + 1e-12)
+
+
+# (points, the reason Newton stops, the median if known).  The kite's mean
+# is its first point.  On the x-axis every u_i is (+-1, 0), so H has a zero
+# row and column.  The triangle's angle at the origin exceeds 120 degrees,
+# so the origin is its median; f has a kink there, and Newton creeps toward
+# it until the halving stalls.  The 6-point cluster, from the toy warm-up of
+# perfbench's select-dcbm-1200 workload (seed 2005), draws Newton into its
+# first point, which is not the median.
+FALLBACKS = {
+    "on a point": (KITE, "on a point", KITE[0]),
+    "singular": (np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]), "singular",
+                 np.array([1.0, 0.0])),
+    "stall at the median": (np.array([[0.0, 0.0], [1.0, 0.1], [-1.0, 0.1]]), "stall",
+                            np.zeros(2)),
+    "stall at another point": (np.array([
+        [0.5461430861987815, 0.837691906011554],
+        [0.5506386521838293, 0.8347437179884469],
+        [0.5221780334736811, 0.8528365032979999],
+        [0.4653427705701563, 0.8851305586624443],
+        [0.5475089047443629, 0.8367998561338476],
+        [0.4684977928527956, 0.8834646671441134]]), "stall", None),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_geometric_median_falls_back_to_weiszfeld(case, monkeypatch, caplog):
+    P, reason, median = FALLBACKS[case]
+    calls = []
+
+    def spy(P, y, tol, max_iter):
+        calls.append((y.copy(), max_iter))
+        return _weiszfeld(P, y, tol, max_iter)
+    monkeypatch.setattr(netcv.spectral, "_weiszfeld", spy)
+    with caplog.at_level(logging.DEBUG, logger="netcv.spectral"):
+        y = geometric_median(P)
+    assert caplog.messages == [f"geometric median of {len(P)} points: "
+                               f"Newton fell back to Weiszfeld ({reason})"]
+    assert len(calls) == 1
+    ref = median_objective(P, weiszfeld_reference(P, tol=1e-14))
+    assert median_objective(P, y) <= ref * (1 + 1e-12)
+    if median is not None:
+        assert np.array_equal(y, median)
+    else:
+        # one Weiszfeld step from the point leaves it, and Newton finishes
+        start, steps = calls[0]
+        assert steps == 1 and np.array_equal(start, P[0])
+        assert in_order_norm(P - y).min() > 1e-3
+
+
+# A 4-point cluster from the toy warm-up of perfbench's select-dcbm-1200
+# workload (seed 1, toy input 3): 500 Weiszfeld steps from the mean do not
+# bring the step below 1e-8.
+SLOW_WEISZFELD = np.array([
+    [0.5231950255686003, 0.41120610112987305, 0.7464425681951963],
+    [0.37799419749860164, 0.5102464430263979, 0.7725082226334533],
+    [0.6247141096177974, 0.2633381044516808, 0.7351090558469799],
+    [0.36223892216706527, 0.594670854970216, 0.7177391848828064],
+])
+
+
+def test_geometric_median_settles_where_weiszfeld_is_slow():
+    P = SLOW_WEISZFELD
+    assert not _weiszfeld(P, P.mean(axis=0), 1e-8, 500)[1]
+    y = geometric_median(P)  # the autouse fixture fails on a max_iter warning
+    ref = weiszfeld_reference(P, tol=1e-14, max_iter=100_000)
+    assert median_objective(P, y) <= median_objective(P, ref) * (1 + 1e-12)
 
 
 CLUSTERERS = [
