@@ -12,8 +12,8 @@ from .spectral import (ClusterResult, SingularBasis, geometric_median, kmeans,
                        kmedian_spherical, spectral_cluster_rect,
                        spherical_embed, spherical_spectral_cluster_rect,
                        top_k_right_singular)
-from .estimators import (DcbmFit, SbmFit, clamp_probs, estimate_B_sbm,
-                         estimate_dcbm, predict_P, predict_P_matrix)
+from .estimators import (BlockFit, clamp_probs, estimate_block, predict_P,
+                         predict_P_matrix)
 from .ncv import (Candidate, NcvReport, candidate_grid, fold_fit_validate,
                   loss, ncv_select, repeat_ncv)
 from .harness import (ExperimentSpec, SuccessTable, run_experiment,
@@ -32,8 +32,8 @@ __all__ = [
     "ClusterResult", "SingularBasis", "geometric_median", "kmeans",
     "kmedian_spherical", "spectral_cluster_rect", "spherical_embed",
     "spherical_spectral_cluster_rect", "top_k_right_singular",
-    "DcbmFit", "SbmFit", "clamp_probs", "estimate_B_sbm", "estimate_dcbm",
-    "predict_P", "predict_P_matrix",
+    "BlockFit", "clamp_probs", "estimate_block", "predict_P",
+    "predict_P_matrix",
     "Candidate", "NcvReport", "candidate_grid", "fold_fit_validate", "loss",
     "ncv_select", "repeat_ncv",
     "ExperimentSpec", "SuccessTable", "run_experiment", "run_polblogs",

@@ -2,9 +2,12 @@
 
 All pair counting is restricted to observed pairs, i.e. pairs with at
 least one endpoint in the fitting node set N1: unordered pairs within
-N1 plus all N1 x N2 pairs.  The block probability is the edge count
-over such pairs divided by the pair count (SBM) or by the sum of
-activeness products over the same pairs (DCBM).
+N1 plus all N1 x N2 pairs.  One estimator serves both model families:
+the plain SBM is the degree-corrected model with activeness psi = 1,
+so a fit carries psi_hat only in the degree-corrected case.  The block
+entry is the edge count over observed pairs divided by the sum of
+activeness products over the same pairs, which is the pair count when
+there is no psi_hat.
 
 The adjacency argument may be a float matrix; feeding the population
 edge-probability matrix recovers the model parameters exactly, which
@@ -14,7 +17,7 @@ the tests rely on.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +31,17 @@ _ROW_BLOCK = 256
 
 
 @dataclass
-class SbmFit:
+class BlockFit:
+    """A fitted block model: 1-based labels, the block matrix and, for the
+    degree-corrected model, the activeness of each node (None for the
+    plain model, which is the degree-corrected one with psi = 1)."""
     g_hat: np.ndarray
     B_hat: np.ndarray
+    psi_hat: np.ndarray | None = None
 
     @property
     def k(self):
         return self.B_hat.shape[0]
-
-    def to_dict(self):
-        return {"model": "sbm", "g_hat": self.g_hat.tolist(),
-                "B_hat": self.B_hat.tolist()}
-
-
-@dataclass
-class DcbmFit:
-    g_hat: np.ndarray
-    B_prime_hat: np.ndarray
-    psi_prime_hat: np.ndarray
-
-    @property
-    def k(self):
-        return self.B_prime_hat.shape[0]
-
-    def to_dict(self):
-        return {"model": "dcbm", "g_hat": self.g_hat.tolist(),
-                "B_prime_hat": self.B_prime_hat.tolist(),
-                "psi_prime_hat": self.psi_prime_hat.tolist()}
 
 
 def _onehot(labels, k):
@@ -106,65 +93,39 @@ def _pair_counts(N1, N2, g, k, weights=None):
     return Den
 
 
-def _global_density(Num, Den_counts):
-    iu = np.triu_indices(Num.shape[0])
-    total_pairs = Den_counts[iu].sum()
-    if total_pairs <= 0:
-        return 0.0
-    return Num[iu].sum() / total_pairs
+def estimate_block(A, N1, N2, g_hat, k: int, psi_hat=None) -> BlockFit:
+    """Block matrix from the rows of A indexed by N1.
 
-
-def estimate_B_sbm(A, N1, N2, g_hat, k: int) -> SbmFit:
-    """Block probability matrix from the rows of A indexed by N1.
-
-    Entries are edge counts over observed pairs divided by pair counts;
-    block pairs with no observed pair fall back to the global fitting
-    density (logged).
+    Entries are edge counts over observed pairs divided by the sum of
+    activeness products psi_i * psi_j over the same pairs; without
+    psi_hat every product is 1 and the denominator is the pair count.
+    With psi_hat, B is a ratio and may exceed 1; only predicted
+    probabilities are clamped.  Near-zero denominators fall back to the
+    global density over the mean activeness pair product (logged),
+    which is the global density itself when psi_hat is None.
     """
     g_hat = np.asarray(g_hat, dtype=np.int64)
     check_membership(g_hat, k)
-    Num, Den = _pair_sums(A, N1, N2, g_hat, k)
-    B = np.zeros((k, k))
-    ok = Den > 0
-    B[ok] = Num[ok] / Den[ok]
-    if not ok.all():
-        dens = _global_density(Num, Den)
-        B[~ok] = dens
-        logger.debug("%d empty block pair(s); filled with global density %.4g",
-                     int((~ok).sum()), dens)
-    return SbmFit(g_hat=g_hat, B_hat=np.clip(B, 0.0, 1.0))
-
-
-def estimate_dcbm(A, N1, N2, g_hat, psi_prime_hat, k: int) -> DcbmFit:
-    """Degree-corrected block estimate: same edge counts as the plain
-    model, with sums of activeness products in the denominator.
-
-    B' is a ratio and may exceed 1; only predicted probabilities are
-    clamped.  Near-zero denominators fall back to the global density
-    over the mean activeness pair product (logged).
-    """
-    g_hat = np.asarray(g_hat, dtype=np.int64)
-    check_membership(g_hat, k)
-    psi = np.asarray(psi_prime_hat, dtype=float)
-    if psi.shape != g_hat.shape:
-        raise ValueError("psi_prime_hat length must match g_hat")
-    if (psi < 0).any():
-        raise ValueError("psi_prime_hat entries must be nonnegative")
-    Num, Den = _pair_sums(A, N1, N2, g_hat, k, weights=psi)
+    if psi_hat is not None:
+        psi_hat = np.asarray(psi_hat, dtype=float)
+        if psi_hat.shape != g_hat.shape:
+            raise ValueError("psi_hat length must match g_hat")
+        if not np.all(np.isfinite(psi_hat) & (psi_hat >= 0)):
+            raise ValueError("psi_hat entries must be finite and nonnegative")
+    Num, Den = _pair_sums(A, N1, N2, g_hat, k, weights=psi_hat)
     B = np.zeros((k, k))
     ok = Den > _DENOM_TOL
     B[ok] = Num[ok] / Den[ok]
     if not ok.all():
-        counts = _pair_counts(N1, N2, g_hat, k)
-        dens = _global_density(Num, counts)
         iu = np.triu_indices(k)
-        total_counts = counts[iu].sum()
-        mean_pp = Den[iu].sum() / total_counts if total_counts > 0 else 0.0
+        pairs = _pair_counts(N1, N2, g_hat, k)[iu].sum()
+        dens = Num[iu].sum() / pairs if pairs > 0 else 0.0
+        mean_pp = Den[iu].sum() / pairs if pairs > 0 else 0.0
         fill = dens / mean_pp if mean_pp > _DENOM_TOL else dens
         B[~ok] = fill
         logger.debug("%d near-empty denominator(s); filled with %.4g",
                      int((~ok).sum()), fill)
-    return DcbmFit(g_hat=g_hat, B_prime_hat=B, psi_prime_hat=psi)
+    return BlockFit(g_hat=g_hat, B_hat=B, psi_hat=psi_hat)
 
 
 def clamp_probs(P):
@@ -172,28 +133,23 @@ def clamp_probs(P):
     return np.clip(P, PROB_CLAMP_EPS, 1.0 - PROB_CLAMP_EPS)
 
 
-def predict_P(fit, i: int, j: int) -> float:
+def predict_P(fit: BlockFit, i: int, j: int) -> float:
     """Predicted edge probability for one pair, clamped to [1e-6, 1-1e-6]."""
     if i == j:
         raise ValueError("self-pairs have no edge probability")
-    gi = fit.g_hat[i] - 1
-    gj = fit.g_hat[j] - 1
-    if isinstance(fit, DcbmFit):
-        p = fit.psi_prime_hat[i] * fit.psi_prime_hat[j] * fit.B_prime_hat[gi, gj]
-    else:
-        p = fit.B_hat[gi, gj]
+    p = fit.B_hat[fit.g_hat[i] - 1, fit.g_hat[j] - 1]
+    if fit.psi_hat is not None:
+        p = fit.psi_hat[i] * fit.psi_hat[j] * p
     return float(clamp_probs(p))
 
 
-def predict_P_matrix(fit) -> np.ndarray:
+def predict_P_matrix(fit: BlockFit) -> np.ndarray:
     """Clamped predicted probabilities among the nodes of fit.g_hat (n x n),
     zero diagonal."""
     g0 = fit.g_hat - 1
-    if isinstance(fit, DcbmFit):
-        P = fit.B_prime_hat[np.ix_(g0, g0)] * np.outer(fit.psi_prime_hat,
-                                                       fit.psi_prime_hat)
-    else:
-        P = fit.B_hat[np.ix_(g0, g0)]
+    P = fit.B_hat[np.ix_(g0, g0)]
+    if fit.psi_hat is not None:
+        P *= np.outer(fit.psi_hat, fit.psi_hat)
     P = clamp_probs(P)
     np.fill_diagonal(P, 0.0)
     return P

@@ -101,16 +101,13 @@ def load_edge_list(path, symmetrize: bool = True):
     return A, node_ids
 
 
-def write_edge_list(A: np.ndarray, path, node_ids=None) -> None:
-    """Write the upper-triangle edges of A, one "u v" line per edge."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    if node_ids is None:
-        node_ids = [str(i) for i in range(n)]
-    iu, ju = np.nonzero(np.triu(A, k=1))
+def write_edge_list(A: np.ndarray, path) -> None:
+    """Write the upper-triangle edges of A, one "u v" line per edge,
+    nodes numbered from 0."""
+    iu, ju = np.nonzero(np.triu(np.asarray(A), k=1))
     with open(path, "w", encoding="utf-8") as fh:
         for i, j in zip(iu, ju):
-            fh.write(f"{node_ids[i]} {node_ids[j]}\n")
+            fh.write(f"{i} {j}\n")
 
 
 def largest_connected_component(A: np.ndarray):

@@ -119,29 +119,37 @@ def _select_reps(spec, candidates, sim, key, params_of):
 
 def run_sim1(spec: ExperimentSpec) -> SuccessTable:
     """Planted-K SBM over a (r, K, n1) grid; success means the selected
-    K equals the truth."""
+    K equals the truth.  A (K, n1) cell with n1 * K > n is skipped with
+    a warning; a grid in which no cell fits raises ValueError."""
     r_grid = spec.r if spec.r is not None else SIM1_R_GRID
     n1_grid = spec.n1 if spec.n1 is not None else (spec.n // max(spec.K),)
     cols = ["which", "n", "K", "n1", "r", "kmax", "reps", "successes", "rate",
             "under", "seed"]
     table = SuccessTable("sim1", spec.seed, cols)
+    fits = []
+    for K in spec.K:
+        for n1 in n1_grid:
+            if n1 * K <= spec.n:
+                fits.append((K, n1))
+            else:
+                logger.warning("sim1: skipping K=%d, n1=%d: %d planted nodes "
+                               "exceed n=%d", K, n1, K * n1, spec.n)
+    if not fits:
+        raise ValueError(f"sim1: no (K, n1) cell fits n={spec.n}")
     for r in r_grid:
-        for K in spec.K:
-            for n1 in n1_grid:
-                if n1 * K > spec.n:
-                    continue
-                kmax = K + spec.kmax_extra
-                candidates = candidate_grid(("sbm",), kmax)
-                params = sim1_params(spec.n, K, n1, r)
-                sels = _select_reps(spec, candidates, "sim1",
-                                    (K, n1, round(r * 1e6)), lambda rng: params)
-                hits = sum(1 for s in sels if s.K == K)
-                under = sum(1 for s in sels if s.K < K)
-                table.rows.append({"which": "sim1", "n": spec.n, "K": K,
-                                   "n1": n1, "r": r, "kmax": kmax,
-                                   "reps": spec.reps, "successes": hits,
-                                   "rate": hits / spec.reps, "under": under,
-                                   "seed": spec.seed})
+        for K, n1 in fits:
+            kmax = K + spec.kmax_extra
+            candidates = candidate_grid(("sbm",), kmax)
+            params = sim1_params(spec.n, K, n1, r)
+            sels = _select_reps(spec, candidates, "sim1",
+                                (K, n1, round(r * 1e6)), lambda rng: params)
+            hits = sum(1 for s in sels if s.K == K)
+            under = sum(1 for s in sels if s.K < K)
+            table.rows.append({"which": "sim1", "n": spec.n, "K": K,
+                               "n1": n1, "r": r, "kmax": kmax,
+                               "reps": spec.reps, "successes": hits,
+                               "rate": hits / spec.reps, "under": under,
+                               "seed": spec.seed})
     return table
 
 
@@ -196,15 +204,13 @@ POLBLOGS_HINT = ("edge list not found at {path}; fetch the political blogs "
 
 
 def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
-                 loss: str = "negloglik", kmax: int = 6,
-                 threads: int | None = None):
+                 loss: str = "negloglik", kmax: int = 6):
     """Model selection on the political-blogs network.
 
     Restricts to the largest connected component, repeats selection
     over independent splittings, and returns (SuccessTable of selection
     frequencies, loss curves from the first splitting as a list of
-    {model, K, total_loss} rows).  ``threads`` is accepted and has no
-    effect.
+    {model, K, total_loss} rows).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(POLBLOGS_HINT.format(path=path))

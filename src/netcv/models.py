@@ -41,12 +41,13 @@ def check_block_matrix(B: np.ndarray, k: int) -> None:
 
 
 def check_degree_params(psi: np.ndarray, g: np.ndarray, k: int) -> None:
-    """Raise ValueError unless psi is positive with block-wise maximum 1."""
+    """Raise ValueError unless psi is finite and positive with block-wise
+    maximum 1."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != np.asarray(g).shape:
         raise ValueError("psi must have one entry per node")
-    if psi.min() <= 0.0:
-        raise ValueError("activeness entries must be positive")
+    if not np.all(np.isfinite(psi) & (psi > 0.0)):
+        raise ValueError("activeness entries must be finite and positive")
     for c in range(1, k + 1):
         m = psi[np.asarray(g) == c].max()
         if abs(m - 1.0) > _PSI_TOL:

@@ -16,15 +16,15 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import issparse
 
-from .estimators import estimate_B_sbm, estimate_dcbm, predict_P_matrix
+from .estimators import estimate_block, predict_P_matrix
 from .graphs import check_adjacency, partition_nodes
 from .spectral import (top_k_right_singular, spectral_cluster_rect,
                        spherical_spectral_cluster_rect)
 
 logger = logging.getLogger(__name__)
 
-LOSS_KINDS = ("squared", "negloglik")
 _LOSS_ALIASES = {"l2": "squared", "squared": "squared",
                  "nll": "negloglik", "negloglik": "negloglik"}
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
@@ -115,14 +115,13 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     rect = A[fit_rows, :] if basis is None else None
     if candidate.model == "sbm":
         g_hat = spectral_cluster_rect(rect, candidate.K, rng, basis=basis)
-        fit = estimate_B_sbm(A, fit_rows, Nv, g_hat, candidate.K)
-        held_out = replace(fit, g_hat=fit.g_hat[Nv])
+        psi = None
     else:
         g_hat, psi = spherical_spectral_cluster_rect(rect, candidate.K, rng,
                                                      basis=basis)
-        fit = estimate_dcbm(A, fit_rows, Nv, g_hat, psi, candidate.K)
-        held_out = replace(fit, g_hat=fit.g_hat[Nv],
-                           psi_prime_hat=fit.psi_prime_hat[Nv])
+    fit = estimate_block(A, fit_rows, Nv, g_hat, candidate.K, psi_hat=psi)
+    held_out = replace(fit, g_hat=fit.g_hat[Nv],
+                       psi_hat=None if psi is None else fit.psi_hat[Nv])
     # On 0/1 entries these terms are the bits of _loss_array(kind, x, p),
     # computed in place: (p - 1)^2 or p^2; log(p) or log1p(-p), negated.
     off = ~np.eye(Nv.size, dtype=bool)
@@ -149,11 +148,11 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     One node partition is drawn and shared by all candidates, so the
     comparison is paired.  Ties in total loss go to the smaller K,
     then to the plain block model.  All randomness derives from the
-    integer seed (one is generated and recorded when omitted).  The
-    (candidate, fold) cells run in sequence; ``threads`` is accepted
-    and has no effect.
+    integer seed (one is generated and recorded when omitted).  A SciPy
+    sparse matrix is densified first.  The (candidate, fold) cells run
+    in sequence; ``threads`` is accepted and has no effect.
     """
-    A = np.asarray(A)
+    A = A.toarray() if issparse(A) else np.asarray(A)
     check_adjacency(A)
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -200,11 +199,10 @@ class RepeatResult(NamedTuple):
     reports: list          # per-rep NcvReport
 
 
-def repeat_ncv(A, candidates, V: int, fn: str, reps: int, master_seed,
-               threads: int | None = None) -> RepeatResult:
+def repeat_ncv(A, candidates, V: int, fn: str, reps: int,
+               master_seed) -> RepeatResult:
     """Run ncv_select under `reps` independent node splittings, in
-    sequence, and tabulate how often each candidate is selected.
-    ``threads`` is accepted and has no effect."""
+    sequence, and tabulate how often each candidate is selected."""
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     rep_seeds = [int(s) for s in

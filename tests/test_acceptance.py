@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from netcv.cli import main as cli_main
-from netcv.estimators import _pair_sums, estimate_B_sbm
+from netcv.estimators import _pair_sums, estimate_block
 from netcv.graphs import hamming_up_to_permutation, load_edge_list, write_edge_list
 from netcv.harness import ExperimentSpec, run_polblogs, run_sim1, run_sim3
 from netcv.models import DcbmParams, SbmParams, expected_P, sample, sim1_params
@@ -116,7 +116,7 @@ def test_criterion_03_estimator_unbiasedness():
     acc = np.zeros((3, 3))
     for rep in range(reps):
         A = sample(params, np.random.default_rng(10_000 + rep))
-        acc += estimate_B_sbm(A, N1, N2, params.g, 3).B_hat
+        acc += estimate_block(A, N1, N2, params.g, 3).B_hat
     mean = acc / reps
     _, D = _pair_sums(np.zeros((600, 600)), N1, N2, params.g, 3)
     se = np.sqrt(params.B * (1 - params.B) / D) / np.sqrt(reps)

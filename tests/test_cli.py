@@ -66,6 +66,18 @@ def test_simulate_dcbm_psi_length_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_dcbm_rejects_nan_psi(tmp_path, capsys):
+    psi_path = tmp_path / "psi.txt"
+    psi_path.write_text("1\n0.5\nnan\n1\n0.5\n0.5\n")
+    out = tmp_path / "d.txt"
+    code = main(["simulate", "dcbm", "--n", "6", "--k", "2", "--b-diag", "0.8",
+                 "--b-off", "0.1", "--psi-file", str(psi_path), "--seed", "3",
+                 "--output", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_simulate_rejects_nonpositive_k(tmp_path, capsys, k):
     code = main(["simulate", "sbm", "--n", "20", "--k", k, "--b-diag", "0.5",
@@ -182,6 +194,16 @@ def test_bench_rejects_missing_or_zero_k(k, capsys):
                  "--seed", "1"])
     assert code == 2
     assert "true K" in capsys.readouterr().err
+
+
+def test_bench_sim1_with_no_feasible_cell_exits_2(capsys, caplog):
+    code = main(["bench", "sim1", "--n", "100", "--k", "2", "--n1", "80",
+                 "--r", "0.2", "--reps", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no (K, n1) cell fits n=100" in captured.err
+    assert "skipping K=2, n1=80" in caplog.text
 
 
 def test_bench_sim3_columns(capsys):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import netcv.estimators
-from netcv.estimators import (DcbmFit, SbmFit, clamp_probs, estimate_B_sbm,
-                              estimate_dcbm, predict_P, predict_P_matrix,
-                              _pair_sums)
+from netcv.estimators import (BlockFit, clamp_probs, estimate_block, predict_P,
+                              predict_P_matrix, _pair_sums)
 from netcv.models import DcbmParams, SbmParams, expected_P, sample, sim1_params
 
 
@@ -102,7 +101,7 @@ def test_hand_counted_example():
     for i, j in [(0, 1), (0, 3), (2, 4), (2, 5)]:
         A[i, j] = A[j, i] = 1
     g = np.array([1, 1, 2, 1, 2, 2])
-    fit = estimate_B_sbm(A, [0, 1, 2], [3, 4, 5], g, 2)
+    fit = estimate_block(A, [0, 1, 2], [3, 4, 5], g, 2)
     assert np.isclose(fit.B_hat[0, 0], 2 / 3)
     assert np.isclose(fit.B_hat[1, 1], 1.0)
     assert fit.B_hat[0, 1] == 0.0
@@ -110,7 +109,7 @@ def test_hand_counted_example():
 
 def test_complete_graph_k1():
     A = (np.ones((5, 5)) - np.eye(5)).astype(np.int8)
-    fit = estimate_B_sbm(A, [0, 1], [2, 3, 4], np.ones(5, dtype=int), 1)
+    fit = estimate_block(A, [0, 1], [2, 3, 4], np.ones(5, dtype=int), 1)
     assert fit.B_hat[0, 0] == 1.0
 
 
@@ -119,7 +118,7 @@ def test_sbm_single_draw_within_4_sigma():
     A = sample(params, np.random.default_rng(7))
     N1 = np.arange(0, 600, 3)
     N2 = np.setdiff1d(np.arange(600), N1)
-    fit = estimate_B_sbm(A, N1, N2, params.g, 3)
+    fit = estimate_block(A, N1, N2, params.g, 3)
     _, D = _pair_sums(np.zeros((600, 600)), N1, N2, params.g, 3)
     sigma = np.sqrt(params.B * (1 - params.B) / D)
     assert np.all(np.abs(fit.B_hat - params.B) <= 4 * sigma)
@@ -130,7 +129,7 @@ def test_sbm_empty_block_falls_back_to_density():
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         A[i, j] = A[j, i] = 1
     g = np.array([1, 1, 2, 2, 1, 2])  # no node carries label 3
-    fit = estimate_B_sbm(A, [0, 1, 2], [3, 4, 5], g, 3)
+    fit = estimate_block(A, [0, 1, 2], [3, 4, 5], g, 3)
     Num, Den = _pair_sums(A, [0, 1, 2], [3, 4, 5], g, 3)
     iu = np.triu_indices(3)
     dens = Num[iu].sum() / Den[iu].sum()
@@ -141,7 +140,7 @@ def test_sbm_empty_block_falls_back_to_density():
 def test_sbm_rejects_label_out_of_range():
     A = np.zeros((4, 4), dtype=np.int8)
     with pytest.raises(ValueError):
-        estimate_B_sbm(A, [0, 1], [2, 3], np.array([1, 2, 3, 1]), 2)
+        estimate_block(A, [0, 1], [2, 3], np.array([1, 2, 3, 1]), 2)
 
 
 def test_sbm_noiseless_population_identity():
@@ -149,7 +148,7 @@ def test_sbm_noiseless_population_identity():
     P = expected_P(params)
     N1 = np.arange(0, 90, 3)
     N2 = np.setdiff1d(np.arange(90), N1)
-    fit = estimate_B_sbm(P, N1, N2, params.g, 3)
+    fit = estimate_block(P, N1, N2, params.g, 3)
     assert np.allclose(fit.B_hat, params.B, atol=1e-12)
 
 
@@ -159,8 +158,8 @@ def test_dcbm_constant_psi_complete_graph():
     A = (np.ones((6, 6)) - np.eye(6)).astype(np.int8)
     g = np.ones(6, dtype=int)
     c = 0.5
-    fit = estimate_dcbm(A, [0, 1, 2], [3, 4, 5], g, np.full(6, c), 1)
-    assert np.isclose(fit.B_prime_hat[0, 0], 1 / c**2)
+    fit = estimate_block(A, [0, 1, 2], [3, 4, 5], g, 1, psi_hat=np.full(6, c))
+    assert np.isclose(fit.B_hat[0, 0], 1 / c**2)
 
 
 def test_dcbm_noiseless_identity():
@@ -178,7 +177,7 @@ def test_dcbm_noiseless_identity():
         psi_prime[g == c] /= np.sqrt((psi[g == c] ** 2).sum())
     N1 = np.arange(0, 90, 3)
     N2 = np.setdiff1d(np.arange(90), N1)
-    fit = estimate_dcbm(P, N1, N2, g, psi_prime, 3)
+    fit = estimate_block(P, N1, N2, g, 3, psi_hat=psi_prime)
     Phat = predict_P_matrix(fit)
     off = ~np.eye(90, dtype=bool)
     assert np.allclose(Phat[off], P[off], atol=1e-10)
@@ -188,22 +187,32 @@ def test_dcbm_rejects_negative_psi():
     A = np.zeros((4, 4), dtype=np.int8)
     g = np.array([1, 1, 2, 2])
     with pytest.raises(ValueError):
-        estimate_dcbm(A, [0, 1], [2, 3], g, np.array([1.0, -0.1, 1.0, 1.0]), 2)
+        estimate_block(A, [0, 1], [2, 3], g, 2,
+                       psi_hat=np.array([1.0, -0.1, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        estimate_dcbm(A, [0, 1], [2, 3], g, np.ones(3), 2)
+        estimate_block(A, [0, 1], [2, 3], g, 2, psi_hat=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dcbm_rejects_non_finite_psi(bad):
+    A = np.zeros((4, 4), dtype=np.int8)
+    g = np.array([1, 1, 2, 2])
+    with pytest.raises(ValueError, match="finite"):
+        estimate_block(A, [0, 1], [2, 3], g, 2,
+                       psi_hat=np.array([1.0, bad, 1.0, 1.0]))
 
 
 def test_dcbm_zero_psi_fallback_is_finite():
     A = np.zeros((6, 6), dtype=np.int8)
     A[0, 1] = A[1, 0] = 1
     g = np.array([1, 1, 1, 2, 2, 2])
-    fit = estimate_dcbm(A, [0, 1, 2], [3, 4, 5], g, np.zeros(6), 2)
-    assert np.all(np.isfinite(fit.B_prime_hat))
+    fit = estimate_block(A, [0, 1, 2], [3, 4, 5], g, 2, psi_hat=np.zeros(6))
+    assert np.all(np.isfinite(fit.B_hat))
 
 
 def test_dcbm_reduces_to_sbm_with_blockwise_constant_psi():
     # the identity holds wherever the block denominators are populated;
-    # empty blocks use each estimator's own fallback fill
+    # empty blocks fall back to a fill that depends on psi
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(30):
@@ -213,8 +222,8 @@ def test_dcbm_reduces_to_sbm_with_blockwise_constant_psi():
             continue
         scale = rng.uniform(0.5, 1.5, size=k)
         psi = scale[g - 1]
-        sfit = estimate_B_sbm(A, N1, N2, g, k)
-        dfit = estimate_dcbm(A, N1, N2, g, psi, k)
+        sfit = estimate_block(A, N1, N2, g, k)
+        dfit = estimate_block(A, N1, N2, g, k, psi_hat=psi)
         assert np.allclose(predict_P_matrix(sfit), predict_P_matrix(dfit),
                            atol=1e-10)
         checked += 1
@@ -224,8 +233,8 @@ def test_dcbm_reduces_to_sbm_with_blockwise_constant_psi():
 # ---------------------------------------------------------------- predictions
 
 def sbm_fit_2x2():
-    return SbmFit(g_hat=np.array([1, 2, 1]), B_hat=np.array([[0.6, 0.2],
-                                                             [0.2, 0.6]]))
+    return BlockFit(g_hat=np.array([1, 2, 1]), B_hat=np.array([[0.6, 0.2],
+                                                               [0.2, 0.6]]))
 
 
 def test_predict_P_lookup_and_symmetry():
@@ -241,8 +250,8 @@ def test_predict_P_rejects_self_pair():
 
 
 def test_predict_P_clamps_dcbm_overflow():
-    fit = DcbmFit(g_hat=np.array([1, 1]), B_prime_hat=np.array([[1.3]]),
-                  psi_prime_hat=np.array([1.0, 1.0]))
+    fit = BlockFit(g_hat=np.array([1, 1]), B_hat=np.array([[1.3]]),
+                   psi_hat=np.array([1.0, 1.0]))
     assert predict_P(fit, 0, 1) == 1 - 1e-6
 
 
@@ -256,7 +265,7 @@ def test_clamp_leaves_interior_untouched():
 def test_predict_P_matrix_matches_scalar():
     rng = np.random.default_rng(5)
     A, N1, N2, g, k, psi = random_instance(rng, with_psi=True)
-    fit = estimate_dcbm(A, N1, N2, g, psi, k)
+    fit = estimate_block(A, N1, N2, g, k, psi_hat=psi)
     P = predict_P_matrix(fit)
     n = len(g)
     assert np.all(np.diag(P) == 0)
@@ -266,13 +275,27 @@ def test_predict_P_matrix_matches_scalar():
                 assert np.isclose(P[i, j], predict_P(fit, i, j), atol=1e-15)
 
 
-def test_fit_serialization_round_trip():
-    fit = sbm_fit_2x2()
-    blob = fit.to_dict()
-    assert blob["model"] == "sbm"
-    assert blob["B_hat"][0][0] == 0.6
-    dfit = DcbmFit(g_hat=np.array([1, 1]), B_prime_hat=np.array([[1.3]]),
-                   psi_prime_hat=np.array([0.4, 1.0]))
-    dblob = dfit.to_dict()
-    assert dblob["model"] == "dcbm"
-    assert dblob["psi_prime_hat"] == [0.4, 1.0]
+def test_unit_psi_is_the_plain_fit_bit_for_bit():
+    # the plain block model is the degree-corrected one with psi = 1,
+    # including the fallback fill of block pairs with no observed pair
+    rng = np.random.default_rng(6)
+    empty = 0
+    for _ in range(300):
+        n = int(rng.integers(4, 31))
+        k = int(rng.integers(1, min(5, n) + 1))
+        top = k - 1 if k > 1 and rng.random() < 0.3 else k  # label k unused
+        g = rng.integers(1, top + 1, size=n)
+        empty += np.unique(g).size < k
+        A = (rng.random((n, n)) < rng.uniform(0.05, 0.7)).astype(np.int8)
+        A = np.triu(A, 1)
+        A = A + A.T
+        perm = rng.permutation(n)
+        cut = int(rng.integers(1, n))
+        N1, N2 = np.sort(perm[:cut]), np.sort(perm[cut:])
+        plain = estimate_block(A, N1, N2, g, k)
+        unit = estimate_block(A, N1, N2, g, k, psi_hat=np.ones(n))
+        assert plain.psi_hat is None
+        assert plain.B_hat.tobytes() == unit.B_hat.tobytes()
+        assert (predict_P_matrix(plain).tobytes()
+                == predict_P_matrix(unit).tobytes())
+    assert empty >= 50

@@ -63,10 +63,17 @@ def test_run_sim1_small_grid():
     assert row["successes"] == 3  # strong signal at r=0.2, balanced
 
 
-def test_run_sim1_skips_infeasible_cells():
+def test_run_sim1_skips_infeasible_cells(caplog):
     table = run_sim1(small_spec(K=(2, 3), n1=(60,)))
     # n1=60, K=3 needs 180 > 120 nodes, so only the K=2 cell remains
     assert [r["K"] for r in table.rows] == [2]
+    skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert skipped == ["sim1: skipping K=3, n1=60: 180 planted nodes exceed n=120"]
+
+
+def test_run_sim1_rejects_grid_with_no_feasible_cell():
+    with pytest.raises(ValueError, match="no \\(K, n1\\) cell fits"):
+        run_sim1(small_spec(K=(3,), n1=(60,)))
 
 
 def test_run_sim1_bitwise_reproducible():

@@ -52,6 +52,15 @@ def test_dcbm_params_requires_blockwise_max_one():
         DcbmParams(g=g, k=2, B=B, psi=-psi)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dcbm_params_rejects_non_finite_psi(bad):
+    g = np.repeat([1, 2], 3)
+    B = np.array([[0.5, 0.1], [0.1, 0.5]])
+    psi = np.array([1.0, bad, 0.5, 1.0, 0.7, 0.7])
+    with pytest.raises(ValueError, match="finite"):
+        DcbmParams(g=g, k=2, B=B, psi=psi)
+
+
 def test_params_json_round_trip():
     p = two_block_params()
     q = params_from_json(params_to_json(p))

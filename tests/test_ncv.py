@@ -55,12 +55,12 @@ def test_fold_loss_is_ordered_pair_sum():
                             np.random.default_rng(5))
 
     from netcv.spectral import spectral_cluster_rect
-    from netcv.estimators import estimate_B_sbm, predict_P
+    from netcv.estimators import estimate_block, predict_P
 
     Nv = partition[1]
     rows = np.setdiff1d(np.arange(30), Nv)
     g_hat = spectral_cluster_rect(A[rows, :], 2, np.random.default_rng(5))
-    fit = estimate_B_sbm(A, rows, Nv, g_hat, 2)
+    fit = estimate_block(A, rows, Nv, g_hat, 2)
     manual = 0.0
     for i in Nv:
         for j in Nv:
@@ -75,7 +75,7 @@ def test_fold_loss_is_ordered_pair_sum():
 def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
     """The held-out loss read off the full n x n predicted matrix, with the
     whole adjacency matrix cast to float."""
-    from netcv.estimators import estimate_B_sbm, estimate_dcbm, predict_P_matrix
+    from netcv.estimators import estimate_block, predict_P_matrix
     from netcv.ncv import _loss_array
     from netcv.spectral import spectral_cluster_rect, spherical_spectral_cluster_rect
 
@@ -84,10 +84,10 @@ def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
     rows = np.setdiff1d(np.arange(A.shape[0]), Nv)
     if cand.model == "sbm":
         g = spectral_cluster_rect(Af[rows, :], cand.K, rng, basis=basis)
-        fit = estimate_B_sbm(Af, rows, Nv, g, cand.K)
+        psi = None
     else:
         g, psi = spherical_spectral_cluster_rect(Af[rows, :], cand.K, rng, basis=basis)
-        fit = estimate_dcbm(Af, rows, Nv, g, psi, cand.K)
+    fit = estimate_block(Af, rows, Nv, g, cand.K, psi_hat=psi)
     block = np.ix_(Nv, Nv)
     off = ~np.eye(Nv.size, dtype=bool)
     return float(_loss_array(kind, Af[block][off], predict_P_matrix(fit)[block][off]).sum())
@@ -203,6 +203,17 @@ def test_ncv_select_deterministic_and_thread_invariant():
     assert r1.to_json() == r2.to_json() == r4.to_json()
 
 
+@pytest.mark.parametrize("sparse_type", ["csr_array", "csr_matrix"])
+def test_ncv_select_accepts_scipy_sparse(sparse_type):
+    import scipy.sparse
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    cands = candidate_grid(("sbm", "dcbm"), 3)
+    dense = ncv_select(A, cands, V=3, fn="nll", seed=5)
+    sparse = ncv_select(getattr(scipy.sparse, sparse_type)(A), cands, V=3,
+                        fn="nll", seed=5)
+    assert sparse.to_json() == dense.to_json()
+
+
 def test_ncv_select_generates_and_records_seed():
     A, _ = planted_A(40, p_in=0.9, p_out=0.1, seed=13)
     rep = ncv_select(A, [("sbm", 2)], V=2, fn="l2")
@@ -271,8 +282,7 @@ def test_repeat_ncv_deterministic():
     cands = [("sbm", 1), ("sbm", 2), ("sbm", 3)]
     a = repeat_ncv(A, cands, V=2, fn="l2", reps=5, master_seed=7)
     b = repeat_ncv(A, cands, V=2, fn="l2", reps=5, master_seed=7)
-    c = repeat_ncv(A, cands, V=2, fn="l2", reps=5, master_seed=7, threads=3)
-    assert a.selections == b.selections == c.selections
+    assert a.selections == b.selections
     assert a.rep_seeds == b.rep_seeds
     assert a.counts[Candidate("sbm", 2)] == 5
 
@@ -281,3 +291,9 @@ def test_repeat_ncv_rejects_zero_reps():
     A, _ = planted_A(20)
     with pytest.raises(ValueError):
         repeat_ncv(A, [("sbm", 2)], V=2, fn="l2", reps=0, master_seed=0)
+
+
+def test_public_names_resolve():
+    import netcv
+    missing = [name for name in netcv.__all__ if not hasattr(netcv, name)]
+    assert missing == []
