@@ -9,9 +9,11 @@ entry is the edge count over observed pairs divided by the sum of
 activeness products over the same pairs, which is the pair count when
 there is no psi_hat.
 
-The adjacency argument may be a float matrix; feeding the population
-edge-probability matrix recovers the model parameters exactly, which
-the tests rely on.
+The adjacency argument may be a SciPy CSR array or a dense matrix,
+which is converted to CSR; only the rows indexed by N1 are read, so the
+sums cost O(stored entries in those rows + n k).  It may also hold
+floats: feeding the population edge-probability matrix recovers the
+model parameters exactly, which the tests rely on.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .graphs import check_membership
 
@@ -27,7 +30,6 @@ logger = logging.getLogger(__name__)
 
 PROB_CLAMP_EPS = 1e-6
 _DENOM_TOL = 1e-12
-_ROW_BLOCK = 256
 
 
 @dataclass
@@ -56,23 +58,23 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
 
     Returns (Num, Den): Num[a, b] is the sum of A_ij over unordered
     observed pairs with labels {a+1, b+1}; Den is ``_pair_counts``.
-    Rows of A are cast to float ``_ROW_BLOCK`` at a time, so the float
-    copy stays small; on a 0/1 matrix every partial sum is an integer,
-    so Num is exact whatever the blocking.
+    With H the one-hot label matrix, H1 its rows in N1 and A1 the CSR
+    rows of A in N1, the ordered sums are H1^T A1 H (source in N1) and
+    H1^T A1[:, N1] H1 (both ends in N1).  On a 0/1 matrix every partial
+    sum is an integer, so Num is exact.
     """
     N1 = np.asarray(N1, dtype=np.int64)
-    A = np.asarray(A)
+    g = np.asarray(g)
+    A = csr_array(A)
+    A1 = A[N1]
     H = _onehot(g, k)
     H1 = H[N1]
-    S = np.zeros((k, k))    # ordered sums, source in N1
-    S11 = np.zeros((k, k))  # ordered sums within N1
-    for start in range(0, N1.size, _ROW_BLOCK):
-        rows = N1[start:start + _ROW_BLOCK]
-        Hb = H1[start:start + _ROW_BLOCK]
-        R = A[rows, :].astype(float, copy=False)
-        R[np.arange(rows.size), rows] = 0.0    # self-pairs are never observed pairs
-        S += Hb.T @ R @ H
-        S11 += Hb.T @ R[:, N1] @ H1
+    S = H1.T @ (A1 @ H)             # ordered sums, source in N1
+    S11 = H1.T @ (A1[:, N1] @ H1)   # ordered sums within N1
+    # self-pairs are never observed pairs
+    self_sums = np.diag(np.bincount(g[N1] - 1, A.diagonal()[N1], k))
+    S -= self_sums
+    S11 -= self_sums
     Num = S + S.T - S11
     np.fill_diagonal(Num, np.diag(S) - np.diag(S11) / 2.0)
     return Num, _pair_counts(N1, N2, g, k, weights)
@@ -143,13 +145,19 @@ def predict_P(fit: BlockFit, i: int, j: int) -> float:
     return float(clamp_probs(p))
 
 
+def _predict_rows(fit: BlockFit, rows) -> np.ndarray:
+    """Clamped predicted probabilities from the nodes fit.g_hat[rows] to
+    every node of fit.g_hat, self-pairs included."""
+    g0 = fit.g_hat - 1
+    P = fit.B_hat[np.ix_(g0[rows], g0)]
+    if fit.psi_hat is not None:
+        P *= np.outer(fit.psi_hat[rows], fit.psi_hat)
+    return clamp_probs(P)
+
+
 def predict_P_matrix(fit: BlockFit) -> np.ndarray:
     """Clamped predicted probabilities among the nodes of fit.g_hat (n x n),
     zero diagonal."""
-    g0 = fit.g_hat - 1
-    P = fit.B_hat[np.ix_(g0, g0)]
-    if fit.psi_hat is not None:
-        P *= np.outer(fit.psi_hat, fit.psi_hat)
-    P = clamp_probs(P)
+    P = _predict_rows(fit, slice(None))
     np.fill_diagonal(P, 0.0)
     return P

@@ -1,8 +1,11 @@
 """Graph storage, edge-list I/O, node partitioning and label agreement.
 
-Adjacency matrices are plain dense numpy arrays: symmetric, binary
-({0,1}), zero diagonal.  Node memberships are integer vectors with
-labels in {1..K}.  All randomness is drawn from an explicitly passed
+An adjacency matrix is symmetric, binary ({0,1}) and has a zero
+diagonal.  ``check_adjacency`` accepts it dense or as any SciPy sparse
+matrix and returns the canonical float CSR array that cross-validation
+runs on; the edge-list loader and the other helpers here still work on
+dense numpy arrays.  Node memberships are integer vectors with labels
+in {1..K}.  All randomness is drawn from an explicitly passed
 ``numpy.random.Generator``.
 """
 
@@ -10,21 +13,35 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
 
-def check_adjacency(A: np.ndarray) -> None:
-    """Raise ValueError unless A is a square symmetric 0/1 matrix with zero diagonal."""
-    A = np.asarray(A)
+def check_adjacency(A) -> csr_array:
+    """Raise ValueError unless A is a square symmetric 0/1 matrix with zero
+    diagonal; return it as a canonical float CSR array.
+
+    A may be a dense array or any SciPy sparse matrix or array.  Dense
+    input is converted first; explicitly stored zeros count as 0 and
+    duplicate entries are summed.  Once converted, the checks cost
+    O(n + stored entries).  The input is left unmodified.
+    """
+    if not issparse(A):
+        A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
-    if not np.array_equal(A, A.T):
+    A = csr_array(A).astype(float)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    T = A.T.tocsr()
+    if not (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+            and np.array_equal(A.data, T.data)):
         raise ValueError("adjacency matrix must be symmetric")
-    if np.any(np.diag(A) != 0):
+    if A.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")
-    if np.count_nonzero(A == 0) + np.count_nonzero(A == 1) != A.size:
+    if not np.all(A.data == 1.0):
         raise ValueError("adjacency entries must be 0 or 1")
+    return A
 
 
 def check_membership(g: np.ndarray, k: int) -> None:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import issparse
+from scipy.sparse import csr_array
 
-from .estimators import estimate_block, predict_P_matrix
+from .estimators import _onehot, _predict_rows, clamp_probs, estimate_block
 from .graphs import check_adjacency, partition_nodes
 from .spectral import (top_k_right_singular, spectral_cluster_rect,
                        spherical_spectral_cluster_rect)
@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 _LOSS_ALIASES = {"l2": "squared", "squared": "squared",
                  "nll": "negloglik", "negloglik": "negloglik"}
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
+_LOSS_BLOCK = 1 << 18  # entries of one row chunk of the degree-corrected held-out loss
 
 
 def canonical_loss(name: str) -> str:
@@ -101,18 +102,19 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
 
     Fits on the rectangle of rows outside N_v, then sums the loss over
     ordered pairs i != j inside N_v (twice the unordered sum, by
-    symmetry; the argmin is unaffected).  A is a 0/1 adjacency matrix.  A
-    precomputed SingularBasis of the rectangle may be passed to share the
-    SVD across candidates.
+    symmetry; the argmin is unaffected).  A is a 0/1 adjacency matrix,
+    read as a CSR array (dense input is converted).  A precomputed
+    SingularBasis of the rectangle may be passed to share the SVD across
+    candidates.
     """
     check_candidate(candidate)
     kind = canonical_loss(fn)
     Nv = np.asarray(partition[v], dtype=np.int64)
     if Nv.size < 2:
         raise ValueError(f"fold {v} has {Nv.size} node(s); need at least 2")
-    n = A.shape[0]
-    fit_rows = np.setdiff1d(np.arange(n), Nv)
-    rect = A[fit_rows, :] if basis is None else None
+    A = csr_array(A)
+    fit_rows = np.setdiff1d(np.arange(A.shape[0]), Nv)
+    rect = A[fit_rows] if basis is None else None
     if candidate.model == "sbm":
         g_hat = spectral_cluster_rect(rect, candidate.K, rng, basis=basis)
         psi = None
@@ -122,18 +124,63 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     fit = estimate_block(A, fit_rows, Nv, g_hat, candidate.K, psi_hat=psi)
     held_out = replace(fit, g_hat=fit.g_hat[Nv],
                        psi_hat=None if psi is None else fit.psi_hat[Nv])
-    # On 0/1 entries these terms are the bits of _loss_array(kind, x, p),
-    # computed in place: (p - 1)^2 or p^2; log(p) or log1p(-p), negated.
-    off = ~np.eye(Nv.size, dtype=bool)
-    edge = A[np.ix_(Nv, Nv)][off] != 0
-    p = predict_P_matrix(held_out)[off]
-    if kind == "squared":
-        p[edge] -= 1.0
-        return float(np.square(p, out=p).sum())
-    log_p = np.log(p[edge])
-    np.log1p(np.negative(p, out=p), out=p)
-    p[edge] = log_p
-    return float(-p.sum())
+    A_vv = A[Nv][:, Nv]
+    if psi is None:
+        return _block_loss(kind, A_vv, held_out)
+    return _degree_corrected_loss(kind, A_vv, held_out)
+
+
+def _block_counts(A_vv, g, k):
+    """Ordered counts among the held-out nodes by label pair: the edge
+    counts m_ab = H^T A_vv H and the pair counts n_ab over i != j."""
+    H = _onehot(g, k)
+    sizes = H.sum(axis=0)
+    return H.T @ (A_vv @ H), np.outer(sizes, sizes) - np.diag(sizes)
+
+
+def _block_loss(kind, A_vv, fit):
+    """Held-out loss of a plain block model, from label-pair counts.
+
+    The clamped probability B' is constant on each label pair, so the
+    loss is sum_ab [m_ab L(1, B'_ab) + (n_ab - m_ab) L(0, B'_ab)]
+    (``_block_counts``): O(stored entries of A_vv + |N_v| k).
+    """
+    edges, pairs = _block_counts(A_vv, fit.g_hat, fit.k)
+    p = clamp_probs(fit.B_hat)
+    return float((edges * _loss_array(kind, 1.0, p)
+                  + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())
+
+
+def _degree_corrected_loss(kind, A_vv, fit):
+    """Held-out loss of a degree-corrected fit over ordered pairs i != j.
+
+    The clamp of B_ab psi_i psi_j does not factorise over label pairs,
+    so the probabilities are built in row chunks of at most
+    ``_LOSS_BLOCK`` entries; the edge terms come from the chunk's CSR
+    rows.
+    """
+    m = A_vv.shape[0]
+    step = max(1, _LOSS_BLOCK // m)
+    total = 0.0
+    for r0 in range(0, m, step):
+        r1 = min(r0 + step, m)
+        rows = np.arange(r1 - r0)
+        P = _predict_rows(fit, slice(r0, r1))
+        chunk = A_vv[r0:r1]
+        edge = (np.repeat(rows, np.diff(chunk.indptr)), chunk.indices)
+        # On 0/1 entries these terms are the bits of _loss_array(kind, x, p),
+        # computed in place: (p - 1)^2 or p^2; log(p) or log1p(-p), negated.
+        if kind == "squared":
+            P[edge] -= 1.0
+            np.square(P, out=P)
+        else:
+            log_p = np.log(P[edge])
+            np.log1p(np.negative(P, out=P), out=P)
+            P[edge] = log_p
+            np.negative(P, out=P)
+        P[rows, r0 + rows] = 0.0   # self-pairs
+        total += P.sum()
+    return float(total)
 
 
 def _cell_rng(seed, candidate, v):
@@ -148,12 +195,18 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     One node partition is drawn and shared by all candidates, so the
     comparison is paired.  Ties in total loss go to the smaller K,
     then to the plain block model.  All randomness derives from the
-    integer seed (one is generated and recorded when omitted).  A SciPy
-    sparse matrix is densified first.  The (candidate, fold) cells run
-    in sequence; ``threads`` is accepted and has no effect.
+    integer seed (one is generated and recorded when omitted).  A may be
+    dense or any SciPy sparse matrix; it is checked and converted to one
+    CSR adjacency (``check_adjacency``), on which the whole select runs
+    in memory bounded by the edges plus one held-out block.  The
+    (candidate, fold) cells run in sequence; ``threads`` is accepted and
+    has no effect.
     """
-    A = A.toarray() if issparse(A) else np.asarray(A)
-    check_adjacency(A)
+    return _select(check_adjacency(A), candidates, V, fn, seed)
+
+
+def _select(A, candidates, V, fn, seed) -> NcvReport:
+    """``ncv_select`` on an adjacency already checked into CSR form."""
     if not candidates:
         raise ValueError("need at least one candidate")
     candidates = [Candidate(str(m), int(k)) for m, k in candidates]
@@ -177,7 +230,7 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
         fit_rows = np.setdiff1d(np.arange(n), Nv)
         if kmax > fit_rows.size:
             raise ValueError(f"K={kmax} exceeds fitting rows ({fit_rows.size})")
-        bases.append(top_k_right_singular(A[fit_rows, :], kmax))
+        bases.append(top_k_right_singular(A[fit_rows], kmax))
 
     fold_losses = [[fold_fit_validate(A, partition, v, cand, kind,
                                       _cell_rng(seed, cand, v), basis=bases[v])
@@ -202,12 +255,14 @@ class RepeatResult(NamedTuple):
 def repeat_ncv(A, candidates, V: int, fn: str, reps: int,
                master_seed) -> RepeatResult:
     """Run ncv_select under `reps` independent node splittings, in
-    sequence, and tabulate how often each candidate is selected."""
+    sequence, and tabulate how often each candidate is selected.  A is
+    checked and converted once, before the first rep."""
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     rep_seeds = [int(s) for s in
                  np.random.SeedSequence(master_seed).generate_state(reps, dtype=np.uint64)]
-    reports = [ncv_select(A, candidates, V=V, fn=fn, seed=s) for s in rep_seeds]
+    A = check_adjacency(A)
+    reports = [_select(A, candidates, V, fn, s) for s in rep_seeds]
     selections = [r.selected for r in reports]
     counts = {}
     for sel in selections:

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
-import netcv.estimators
 from netcv.estimators import (BlockFit, clamp_probs, estimate_block, predict_P,
                               predict_P_matrix, _pair_sums)
 from netcv.models import DcbmParams, SbmParams, expected_P, sample, sim1_params
@@ -72,17 +72,18 @@ def test_pair_sums_weighted_match_oracle():
         assert np.allclose(Den, Den_o, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("block", [1, 3, 7])
-def test_pair_sums_in_row_blocks_match_oracle(block, monkeypatch):
-    monkeypatch.setattr(netcv.estimators, "_ROW_BLOCK", block)
+@pytest.mark.parametrize("dtype", [np.int8, bool, float])
+def test_pair_sums_dense_and_csr_are_equal(dtype):
     rng = np.random.default_rng(2)
     for _ in range(10):
         A, N1, N2, g, k, psi = random_instance(rng, with_psi=True)
+        dense = A.astype(dtype)
         for weights in (None, psi):
-            Num, Den = _pair_sums(A, N1, N2, g, k, weights=weights)
-            Num_o, Den_o = pair_sums_oracle(A, N1, N2, g, k, psi=weights)
-            assert np.array_equal(Num, Num_o)
-            assert np.allclose(Den, Den_o, rtol=1e-12, atol=1e-12)
+            Num_d, Den_d = _pair_sums(dense, N1, N2, g, k, weights=weights)
+            Num_s, Den_s = _pair_sums(csr_array(dense), N1, N2, g, k, weights=weights)
+            assert np.array_equal(Num_d, Num_s)
+            assert np.array_equal(Den_d, Den_s)
+            assert np.array_equal(Num_s, pair_sums_oracle(A, N1, N2, g, k)[0])
 
 
 def test_pair_sums_ignore_unobserved_block():

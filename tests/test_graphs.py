@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from netcv.graphs import (check_adjacency, check_membership, confusion_matrix,
                           hamming_up_to_permutation, largest_connected_component,
@@ -49,6 +50,51 @@ def test_check_adjacency_rejects_non_binary(value):
     A[0, 1] = A[1, 0] = value
     with pytest.raises(ValueError, match="entries must be 0 or 1"):
         check_adjacency(A)
+
+
+def _csr(rows, cols, vals, shape=(3, 3)):
+    return csr_array((np.asarray(vals, dtype=float), (rows, cols)), shape=shape)
+
+
+@pytest.mark.parametrize("value", [2, -1, 0.5])
+def test_check_adjacency_rejects_non_binary_csr(value):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        check_adjacency(_csr([0, 1], [1, 0], [value, value]))
+
+
+def test_check_adjacency_rejects_asymmetric_csr():
+    with pytest.raises(ValueError, match="must be symmetric"):
+        check_adjacency(_csr([0], [1], [1]))
+
+
+def test_check_adjacency_rejects_self_loop_csr():
+    with pytest.raises(ValueError, match="zero diagonal"):
+        check_adjacency(_csr([1], [1], [1]))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+def test_check_adjacency_rejects_non_square(shape):
+    with pytest.raises(ValueError, match=r"must be square, got shape \(%d, %d\)" % shape):
+        check_adjacency(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"must be square, got shape \(%d, %d\)" % shape):
+        check_adjacency(_csr([], [], [], shape=shape))
+
+
+def test_check_adjacency_returns_canonical_csr():
+    # stored zeros count as 0, duplicates are summed, the input is untouched
+    A = _csr([0, 1, 2, 2, 1, 1], [1, 0, 1, 1, 2, 2], [1, 1, 0, 1, 0.5, 0.5])
+    before = A.copy()
+    C = check_adjacency(A)
+    assert isinstance(C, csr_array) and C.dtype == float
+    assert C.has_canonical_format and C.nnz == 4
+    assert np.array_equal(C.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert np.array_equal(A.data, before.data)
+    assert np.array_equal(check_adjacency(C.toarray().astype(bool)).toarray(),
+                          C.toarray())
+    stored_zero = _csr([0, 1], [1, 0], [1, 0])
+    assert stored_zero.nnz == 2
+    with pytest.raises(ValueError, match="must be symmetric"):
+        check_adjacency(stored_zero)
 
 
 def test_check_membership_bounds():

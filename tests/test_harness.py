@@ -159,12 +159,14 @@ def test_polblogs_curves_reuse_the_first_report(tmp_path, monkeypatch):
     expected = ncv_select(A_lcc, candidate_grid(("sbm", "dcbm"), 2), V=3, fn="nll",
                           seed=rep_seeds[0]).totals
     calls = []
+    select = netcv.ncv._select
 
-    def counting_select(*args, **kw):
-        calls.append(kw.get("seed"))
-        return ncv_select(*args, **kw)
+    def counting_select(A, candidates, V, fn, seed):
+        calls.append(seed)
+        return select(A, candidates, V, fn, seed)
 
-    monkeypatch.setattr(netcv.ncv, "ncv_select", counting_select)
+    # repeat_ncv checks A once, then runs one _select per rep
+    monkeypatch.setattr(netcv.ncv, "_select", counting_select)
     monkeypatch.setattr(netcv.harness, "ncv_select", counting_select)
     _, curves = run_polblogs(str(path), reps=3, V=3, seed=1, kmax=2)
     assert calls == rep_seeds

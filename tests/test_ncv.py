@@ -1,9 +1,11 @@
 """Cross-validation core: fold losses, selection, reports, reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from netcv.graphs import partition_nodes
@@ -93,6 +95,12 @@ def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
     return float(_loss_array(kind, Af[block][off], predict_P_matrix(fit)[block][off]).sum())
 
 
+# The held-out loss is summed per label pair (plain model) or in row
+# chunks (degree-corrected), so it matches the full-matrix formula to a
+# relative 1e-12, not bit for bit.
+FOLD_LOSS_RTOL = 1e-12
+
+
 @pytest.mark.parametrize("kind", ["squared", "negloglik"])
 def test_fold_loss_bitwise_equals_full_matrix_formula(kind):
     from netcv.models import sim3_params
@@ -108,7 +116,59 @@ def test_fold_loss_bitwise_equals_full_matrix_formula(kind):
                                     np.random.default_rng(23), basis=basis)
             ref = full_matrix_fold_loss(A, partition, v, cand, kind,
                                         np.random.default_rng(23), basis)
-            assert got == ref, (v, cand)
+            assert abs(got - ref) <= FOLD_LOSS_RTOL * abs(ref), (v, cand)
+
+
+def test_block_counts_match_a_pair_loop():
+    from netcv.ncv import _block_counts
+
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        n = int(rng.integers(4, 30))
+        k = int(rng.integers(1, 4))
+        A = np.triu(rng.random((n, n)) < rng.uniform(0, 1), 1).astype(np.int8)
+        A = A + A.T
+        g = rng.integers(1, k + 1, size=n)
+        Nv = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        A_vv = scipy.sparse.csr_array(A)[Nv][:, Nv]
+        edges, pairs = _block_counts(A_vv, g[Nv], k)
+        m_ref = np.zeros((k, k))
+        n_ref = np.zeros((k, k))
+        for i in Nv:
+            for j in Nv:
+                if i != j:
+                    m_ref[g[i] - 1, g[j] - 1] += A[i, j]
+                    n_ref[g[i] - 1, g[j] - 1] += 1
+        assert np.array_equal(edges, m_ref)
+        assert np.array_equal(pairs, n_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(6, 40), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["sbm", "dcbm"]),
+       kind=st.sampled_from(["squared", "negloglik"]), K=st.integers(1, 3))
+def test_fold_loss_matches_full_matrix_formula_on_small_graphs(n, density, seed,
+                                                               model, kind, K):
+    from netcv.spectral import top_k_right_singular
+
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.random((n, n)) < density, 1).astype(np.int8)
+    A = A + A.T
+    partition = partition_nodes(n, 3, rng)
+    v = int(rng.integers(3))
+    basis = top_k_right_singular(A[np.setdiff1d(np.arange(n), partition[v]), :], K)
+    cand = Candidate(model, K)
+    try:
+        ref = full_matrix_fold_loss(A, partition, v, cand, kind,
+                                    np.random.default_rng(seed), basis)
+    except ValueError:   # too few nonzero embedding rows for K clusters
+        with pytest.raises(ValueError):
+            fold_fit_validate(A, partition, v, cand, kind,
+                              np.random.default_rng(seed), basis=basis)
+        return
+    got = fold_fit_validate(A, partition, v, cand, kind,
+                            np.random.default_rng(seed), basis=basis)
+    assert abs(got - ref) <= FOLD_LOSS_RTOL * abs(ref)
 
 
 @pytest.mark.parametrize("model", ["sbm", "dcbm"])
@@ -205,13 +265,51 @@ def test_ncv_select_deterministic_and_thread_invariant():
 
 @pytest.mark.parametrize("sparse_type", ["csr_array", "csr_matrix"])
 def test_ncv_select_accepts_scipy_sparse(sparse_type):
-    import scipy.sparse
     A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
     cands = candidate_grid(("sbm", "dcbm"), 3)
     dense = ncv_select(A, cands, V=3, fn="nll", seed=5)
     sparse = ncv_select(getattr(scipy.sparse, sparse_type)(A), cands, V=3,
                         fn="nll", seed=5)
     assert sparse.to_json() == dense.to_json()
+
+
+def sbm_csr(sizes, B, rng):
+    """Plain block-model adjacency built as CSR, never as an n x n array:
+    per block pair, a binomial edge count, then that many pair positions
+    drawn uniformly (a repeated pair collapses to one edge)."""
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows, cols = [], []
+    for a in range(len(sizes)):
+        for b in range(a, len(sizes)):
+            pairs = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            m = rng.binomial(pairs, B[a][b])
+            i = offsets[a] + rng.integers(sizes[a], size=m)
+            j = offsets[b] + rng.integers(sizes[b], size=m)
+            keep = i != j
+            rows += [i[keep], j[keep]]
+            cols += [j[keep], i[keep]]
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    n = int(offsets[-1])
+    A = scipy.sparse.coo_array((np.ones(r.size), (r, c)), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    A.data[:] = 1.0
+    return A
+
+
+def test_ncv_select_memory_is_bounded_by_edges():
+    # n = 20,000 at average degree about 30: a dense int8 A alone would
+    # take 381 MiB, and one float held-out block 339 MiB
+    A = sbm_csr([10000, 10000], [[0.0025, 0.0005], [0.0005, 0.0025]],
+                np.random.default_rng(0))
+    assert 25 < A.nnz / A.shape[0] < 35
+    tracemalloc.start()
+    try:
+        rep = ncv_select(A, [("sbm", 1), ("sbm", 2)], V=3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert rep.selected == Candidate("sbm", 2)
 
 
 def test_ncv_select_generates_and_records_seed():
@@ -285,6 +383,18 @@ def test_repeat_ncv_deterministic():
     assert a.selections == b.selections
     assert a.rep_seeds == b.rep_seeds
     assert a.counts[Candidate("sbm", 2)] == 5
+
+
+def test_repeat_ncv_checks_the_adjacency_once(monkeypatch):
+    import netcv.ncv
+    calls = []
+    check = netcv.ncv.check_adjacency
+    monkeypatch.setattr(netcv.ncv, "check_adjacency",
+                        lambda A: calls.append(1) or check(A))
+    A, _ = planted_A(40, p_in=0.9, p_out=0.1, seed=15)
+    res = repeat_ncv(A, [("sbm", 1), ("sbm", 2)], V=2, fn="nll", reps=3,
+                     master_seed=4)
+    assert len(res.reports) == 3 and len(calls) == 1
 
 
 def test_repeat_ncv_rejects_zero_reps():
