@@ -9,9 +9,9 @@ entry is the edge count over observed pairs divided by the sum of
 activeness products over the same pairs, which is the pair count when
 there is no psi_hat.
 
-The adjacency argument may be a SciPy CSR array or a dense matrix,
-which is converted to CSR; only the rows indexed by N1 are read, so the
-sums cost O(stored entries in those rows + n k).  It may also hold
+The adjacency argument may be a SciPy CSR array or a dense matrix; the
+same row slices and products serve both.  Only the rows indexed by N1
+are read, so on CSR the sums cost O(stored entries in those rows + n k).  It may also hold
 floats: feeding the population edge-probability matrix recovers the
 model parameters exactly, which the tests rely on.
 """
@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .graphs import check_membership
 
@@ -58,14 +57,13 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
 
     Returns (Num, Den): Num[a, b] is the sum of A_ij over unordered
     observed pairs with labels {a+1, b+1}; Den is ``_pair_counts``.
-    With H the one-hot label matrix, H1 its rows in N1 and A1 the CSR
-    rows of A in N1, the ordered sums are H1^T A1 H (source in N1) and
+    With H the one-hot label matrix, H1 its rows in N1 and A1 the rows
+    of A in N1 (CSR or dense), the ordered sums are H1^T A1 H (source in N1) and
     H1^T A1[:, N1] H1 (both ends in N1).  On a 0/1 matrix every partial
     sum is an integer, so Num is exact.
     """
     N1 = np.asarray(N1, dtype=np.int64)
     g = np.asarray(g)
-    A = csr_array(A)
     A1 = A[N1]
     H = _onehot(g, k)
     H1 = H[N1]

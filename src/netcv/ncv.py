@@ -102,8 +102,8 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
 
     Fits on the rectangle of rows outside N_v, then sums the loss over
     ordered pairs i != j inside N_v (twice the unordered sum, by
-    symmetry; the argmin is unaffected).  A is a 0/1 adjacency matrix,
-    read as a CSR array (dense input is converted).  A precomputed
+    symmetry; the argmin is unaffected).  A is a 0/1 adjacency as a
+    CSR array, the form ``check_adjacency`` returns.  A precomputed
     SingularBasis of the rectangle may be passed to share the SVD across
     candidates.
     """
@@ -112,7 +112,6 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     Nv = np.asarray(partition[v], dtype=np.int64)
     if Nv.size < 2:
         raise ValueError(f"fold {v} has {Nv.size} node(s); need at least 2")
-    A = csr_array(A)
     fit_rows = np.setdiff1d(np.arange(A.shape[0]), Nv)
     rect = A[fit_rows] if basis is None else None
     if candidate.model == "sbm":
@@ -183,6 +182,20 @@ def _degree_corrected_loss(kind, A_vv, fit):
     return float(total)
 
 
+class _FitRows(csr_array):
+    """CSR rows of the adjacency that NumPy reads as the dense matrix.
+
+    SciPy's sparse arrays refuse ``np.asarray``; the fold SVDs take their
+    input in this form so that code reading that input as a dense array,
+    such as the basis accuracy check of ``perfbench/run.py --trace 1``,
+    keeps working.  The SVD itself converts it back to a plain CSR array.
+    """
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.toarray()
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 def _cell_rng(seed, candidate, v):
     key = (1, _MODEL_ORDER[candidate.model], candidate.K, v)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -230,7 +243,7 @@ def _select(A, candidates, V, fn, seed) -> NcvReport:
         fit_rows = np.setdiff1d(np.arange(n), Nv)
         if kmax > fit_rows.size:
             raise ValueError(f"K={kmax} exceeds fitting rows ({fit_rows.size})")
-        bases.append(top_k_right_singular(A[fit_rows], kmax))
+        bases.append(top_k_right_singular(_FitRows(A[fit_rows]), kmax))
 
     fold_losses = [[fold_fit_validate(A, partition, v, cand, kind,
                                       _cell_rng(seed, cand, v), basis=bases[v])

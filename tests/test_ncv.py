@@ -2,13 +2,14 @@
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from netcv.graphs import partition_nodes
+from netcv.graphs import check_adjacency, partition_nodes
 from netcv.models import SbmParams, sample, sim1_params
 from netcv.ncv import (Candidate, candidate_grid, canonical_loss,
                        fold_fit_validate, loss, ncv_select, repeat_ncv)
@@ -42,8 +43,8 @@ def test_loss_aliases_and_unknown():
 def test_noiseless_fold_loss_near_zero():
     A, _ = planted_A(60)
     partition = partition_nodes(60, 3, np.random.default_rng(1))
-    val = fold_fit_validate(A, partition, 0, Candidate("sbm", 2), "squared",
-                            np.random.default_rng(2))
+    val = fold_fit_validate(check_adjacency(A), partition, 0, Candidate("sbm", 2),
+                            "squared", np.random.default_rng(2))
     # exact recovery; only the probability clamp keeps it from literal zero
     assert val < 1e-6
 
@@ -53,7 +54,7 @@ def test_fold_loss_is_ordered_pair_sum():
     A, g = planted_A(30, p_in=0.9, p_out=0.1, seed=3)
     partition = partition_nodes(30, 3, np.random.default_rng(4))
     cand = Candidate("sbm", 2)
-    got = fold_fit_validate(A, partition, 1, cand, "squared",
+    got = fold_fit_validate(check_adjacency(A), partition, 1, cand, "squared",
                             np.random.default_rng(5))
 
     from netcv.spectral import spectral_cluster_rect
@@ -99,10 +100,15 @@ def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
 # chunks (degree-corrected), so it matches the full-matrix formula to a
 # relative 1e-12, not bit for bit.
 FOLD_LOSS_RTOL = 1e-12
+# Entry budgets of one degree-corrected loss chunk besides the default:
+# one row per chunk, and chunks of a few rows that end inside a label
+# block and mid-way through the held-out rows.
+SMALL_LOSS_BLOCKS = (1, 20, 150)
 
 
 @pytest.mark.parametrize("kind", ["squared", "negloglik"])
-def test_fold_loss_bitwise_equals_full_matrix_formula(kind):
+def test_fold_loss_bitwise_equals_full_matrix_formula(kind, monkeypatch):
+    from netcv import ncv
     from netcv.models import sim3_params
     from netcv.spectral import top_k_right_singular
 
@@ -112,11 +118,15 @@ def test_fold_loss_bitwise_equals_full_matrix_formula(kind):
     for v, Nv in enumerate(partition):
         basis = top_k_right_singular(A[np.setdiff1d(np.arange(150), Nv), :], 3)
         for cand in candidate_grid(("sbm", "dcbm"), 3):
-            got = fold_fit_validate(A, partition, v, cand, kind,
-                                    np.random.default_rng(23), basis=basis)
             ref = full_matrix_fold_loss(A, partition, v, cand, kind,
                                         np.random.default_rng(23), basis)
-            assert abs(got - ref) <= FOLD_LOSS_RTOL * abs(ref), (v, cand)
+            for block in (ncv._LOSS_BLOCK,) + SMALL_LOSS_BLOCKS:
+                with monkeypatch.context() as m:
+                    m.setattr(ncv, "_LOSS_BLOCK", block)
+                    got = fold_fit_validate(check_adjacency(A), partition, v, cand,
+                                            kind, np.random.default_rng(23),
+                                            basis=basis)
+                assert abs(got - ref) <= FOLD_LOSS_RTOL * abs(ref), (v, cand, block)
 
 
 def test_block_counts_match_a_pair_loop():
@@ -146,9 +156,11 @@ def test_block_counts_match_a_pair_loop():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(6, 40), density=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["sbm", "dcbm"]),
-       kind=st.sampled_from(["squared", "negloglik"]), K=st.integers(1, 3))
+       kind=st.sampled_from(["squared", "negloglik"]), K=st.integers(1, 3),
+       block=st.sampled_from((None,) + SMALL_LOSS_BLOCKS))
 def test_fold_loss_matches_full_matrix_formula_on_small_graphs(n, density, seed,
-                                                               model, kind, K):
+                                                               model, kind, K, block):
+    from netcv import ncv
     from netcv.spectral import top_k_right_singular
 
     rng = np.random.default_rng(seed)
@@ -163,11 +175,12 @@ def test_fold_loss_matches_full_matrix_formula_on_small_graphs(n, density, seed,
                                     np.random.default_rng(seed), basis)
     except ValueError:   # too few nonzero embedding rows for K clusters
         with pytest.raises(ValueError):
-            fold_fit_validate(A, partition, v, cand, kind,
+            fold_fit_validate(check_adjacency(A), partition, v, cand, kind,
                               np.random.default_rng(seed), basis=basis)
         return
-    got = fold_fit_validate(A, partition, v, cand, kind,
-                            np.random.default_rng(seed), basis=basis)
+    with mock.patch.object(ncv, "_LOSS_BLOCK", block or ncv._LOSS_BLOCK):
+        got = fold_fit_validate(check_adjacency(A), partition, v, cand, kind,
+                                np.random.default_rng(seed), basis=basis)
     assert abs(got - ref) <= FOLD_LOSS_RTOL * abs(ref)
 
 
@@ -181,18 +194,18 @@ def test_fold_rejects_a_basis_narrower_than_k(model):
     partition = partition_nodes(120, 3, np.random.default_rng(32))
     basis = top_k_right_singular(A[np.setdiff1d(np.arange(120), partition[0]), :], 2)
     with pytest.raises(ValueError, match="basis has 2 columns, need k=4"):
-        fold_fit_validate(A, partition, 0, Candidate(model, 4), "negloglik",
-                          np.random.default_rng(0), basis=basis)
-    fold_fit_validate(A, partition, 0, Candidate(model, 2), "negloglik",
-                      np.random.default_rng(0), basis=basis)
+        fold_fit_validate(check_adjacency(A), partition, 0, Candidate(model, 4),
+                          "negloglik", np.random.default_rng(0), basis=basis)
+    fold_fit_validate(check_adjacency(A), partition, 0, Candidate(model, 2),
+                      "negloglik", np.random.default_rng(0), basis=basis)
 
 
 def test_fold_too_small_rejected():
     A, _ = planted_A(10)
     partition = [np.array([0]), np.arange(1, 10)]
     with pytest.raises(ValueError, match="at least 2"):
-        fold_fit_validate(A, partition, 0, Candidate("sbm", 2), "squared",
-                          np.random.default_rng(0))
+        fold_fit_validate(check_adjacency(A), partition, 0, Candidate("sbm", 2),
+                          "squared", np.random.default_rng(0))
 
 
 def test_k1_loses_to_k2_on_two_block_graph():
@@ -201,10 +214,10 @@ def test_k1_loses_to_k2_on_two_block_graph():
     for s in range(10):
         A = sample(params, np.random.default_rng(100 + s))
         partition = partition_nodes(600, 3, np.random.default_rng(200 + s))
-        l1 = fold_fit_validate(A, partition, 0, Candidate("sbm", 1), "squared",
-                               np.random.default_rng(s))
-        l2 = fold_fit_validate(A, partition, 0, Candidate("sbm", 2), "squared",
-                               np.random.default_rng(s))
+        l1 = fold_fit_validate(check_adjacency(A), partition, 0, Candidate("sbm", 1),
+                               "squared", np.random.default_rng(s))
+        l2 = fold_fit_validate(check_adjacency(A), partition, 0, Candidate("sbm", 2),
+                               "squared", np.random.default_rng(s))
         wins += l1 > l2
     assert wins >= 9
 
@@ -213,14 +226,14 @@ def test_fold_loss_permutation_invariant():
     A, _ = planted_A(90, p_in=0.9, p_out=0.05, seed=6)
     partition = partition_nodes(90, 3, np.random.default_rng(7))
     cand = Candidate("sbm", 2)
-    base = fold_fit_validate(A, partition, 0, cand, "squared",
+    base = fold_fit_validate(check_adjacency(A), partition, 0, cand, "squared",
                              np.random.default_rng(8))
     perm = np.random.default_rng(9).permutation(90)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(90)
     A_p = A[np.ix_(perm, perm)]
     partition_p = [np.sort(inv[f]) for f in partition]
-    permuted = fold_fit_validate(A_p, partition_p, 0, cand, "squared",
+    permuted = fold_fit_validate(check_adjacency(A_p), partition_p, 0, cand, "squared",
                                  np.random.default_rng(8))
     assert np.isclose(base, permuted, rtol=1e-9)
 
@@ -296,7 +309,8 @@ def sbm_csr(sizes, B, rng):
     return A
 
 
-def test_ncv_select_memory_is_bounded_by_edges():
+@pytest.mark.parametrize("model", ["sbm", "dcbm"])
+def test_ncv_select_memory_is_bounded_by_edges(model):
     # n = 20,000 at average degree about 30: a dense int8 A alone would
     # take 381 MiB, and one float held-out block 339 MiB
     A = sbm_csr([10000, 10000], [[0.0025, 0.0005], [0.0005, 0.0025]],
@@ -304,12 +318,12 @@ def test_ncv_select_memory_is_bounded_by_edges():
     assert 25 < A.nnz / A.shape[0] < 35
     tracemalloc.start()
     try:
-        rep = ncv_select(A, [("sbm", 1), ("sbm", 2)], V=3, seed=1)
+        rep = ncv_select(A, [(model, 1), (model, 2)], V=3, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
-    assert rep.selected == Candidate("sbm", 2)
+    assert rep.selected == Candidate(model, 2)
 
 
 def test_ncv_select_generates_and_records_seed():
@@ -359,8 +373,8 @@ def test_squared_fold_loss_bounded(seed):
     A = np.triu(A, 1)
     A = (A + A.T).astype(np.int8)
     partition = partition_nodes(n, 3, rng)
-    val = fold_fit_validate(A, partition, 0, Candidate("sbm", 2), "squared",
-                            np.random.default_rng(seed))
+    val = fold_fit_validate(check_adjacency(A), partition, 0, Candidate("sbm", 2),
+                            "squared", np.random.default_rng(seed))
     m = len(partition[0])
     assert 0.0 <= val <= m * (m - 1)
 
