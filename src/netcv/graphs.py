@@ -3,9 +3,11 @@
 An adjacency matrix is symmetric, binary ({0,1}) and has a zero
 diagonal.  ``check_adjacency`` accepts it dense or as any SciPy sparse
 matrix and returns the canonical float CSR array that cross-validation
-runs on; the edge-list loader and the other helpers here still work on
-dense numpy arrays.  Node memberships are integer vectors with labels
-in {1..K}.  All randomness is drawn from an explicitly passed
+runs on.  The edge-list loader parses a file straight into that CSR
+form, never through an n x n array; the edge-list writer and the
+largest-component helper take dense or sparse input and cost O(edges)
+on sparse input.  Node memberships are integer vectors with labels in
+{1..K}.  All randomness is drawn from an explicitly passed
 ``numpy.random.Generator``.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array, csr_matrix, issparse
+from scipy.sparse import csr_array, issparse, triu
 from scipy.sparse.csgraph import connected_components
 
 
@@ -33,15 +35,20 @@ def check_adjacency(A) -> csr_array:
     A = csr_array(A).astype(float)
     A.sum_duplicates()
     A.eliminate_zeros()
-    T = A.T.tocsr()
-    if not (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
-            and np.array_equal(A.data, T.data)):
+    if not _is_symmetric(A):
         raise ValueError("adjacency matrix must be symmetric")
     if A.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")
     if not np.all(A.data == 1.0):
         raise ValueError("adjacency entries must be 0 or 1")
     return A
+
+
+def _is_symmetric(A: csr_array) -> bool:
+    """Whether a canonical CSR array equals its transpose, entry for entry."""
+    T = A.T.tocsr()
+    return (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+            and np.array_equal(A.data, T.data))
 
 
 def check_membership(g: np.ndarray, k: int) -> None:
@@ -58,12 +65,13 @@ def check_membership(g: np.ndarray, k: int) -> None:
 def load_edge_list(path, symmetrize: bool = True):
     """Read an undirected edge list into an adjacency matrix.
 
-    The file format is UTF-8 text with one edge per line, two
-    whitespace-separated node tokens; lines starting with ``#`` and
-    blank lines are ignored.  Node tokens may be arbitrary strings and
-    are mapped to indices 0..n-1 in order of first appearance.
-    Duplicate edges collapse to a single edge and self-loops are
-    dropped.
+    The file format is UTF-8 text (a leading byte-order mark is
+    skipped) with one edge per line, two whitespace-separated node
+    tokens; lines starting with ``#`` and blank lines are ignored.  Node
+    tokens may be arbitrary strings and are mapped to indices 0..n-1 in
+    order of first appearance.  Duplicate edges collapse to a single
+    edge and self-loops are dropped.  The file is parsed into one flat
+    token list and then integer index arrays, so memory is O(edges).
 
     Parameters
     ----------
@@ -77,79 +85,80 @@ def load_edge_list(path, symmetrize: bool = True):
 
     Returns
     -------
-    A : ndarray of shape (n, n)
-        Binary adjacency matrix.
+    A : scipy.sparse.csr_array of shape (n, n)
+        Binary adjacency matrix in the canonical float CSR form that
+        ``check_adjacency`` returns.
     node_ids : list of str
         Original token for each node index.
     """
-    ids: dict[str, int] = {}
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
+    tokens = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, pair in enumerate(map(str.split, fh), start=1):
+            # skip blank lines and lines whose first token starts with "#"
+            if len(pair) == 2 and pair[0][0] != "#":
+                tokens += pair
+            elif pair and pair[0][0] != "#":
                 raise ValueError(
-                    f"{path}: line {lineno}: expected two node tokens, got {len(tokens)}"
+                    f"{path}: line {lineno}: expected two node tokens, got {len(pair)}"
                 )
-            pair = []
-            for tok in tokens:
-                if tok not in ids:
-                    ids[tok] = len(ids)
-                pair.append(ids[tok])
-            edges.append(pair)
-    if not ids:
+    if not tokens:
         raise ValueError(f"{path}: empty edge list")
-    n = len(ids)
-    i, j = np.array(edges, dtype=np.int64).T
+    node_ids = list(dict.fromkeys(tokens))  # first appearance order
+    n = len(node_ids)
+    index = dict(zip(node_ids, range(n)))
+    # int32 indices, as SciPy picks below 2**31 nodes; fromiter raises past that
+    ij = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    del tokens, index
+    i, j = ij[0::2], ij[1::2]
     keep = i != j
     i, j = i[keep], j[keep]
     if symmetrize:
         i, j = np.concatenate([i, j]), np.concatenate([j, i])
-    A = np.zeros((n, n), dtype=np.int8)
-    A[i, j] = 1
-    if not symmetrize and not np.array_equal(A, A.T):
+    A = csr_array((np.ones(i.size), (i, j)), shape=(n, n))  # sums duplicates
+    A.data[:] = 1.0
+    if not symmetrize and not _is_symmetric(A):
         raise ValueError(f"{path}: edge list is not symmetric and symmetrize=False")
-    node_ids = [None] * n
-    for tok, idx in ids.items():
-        node_ids[idx] = tok
     return A, node_ids
 
 
-def write_edge_list(A: np.ndarray, path) -> None:
-    """Write the upper-triangle edges of A, one "u v" line per edge,
-    nodes numbered from 0."""
-    iu, ju = np.nonzero(np.triu(np.asarray(A), k=1))
+def write_edge_list(A, path) -> None:
+    """Write the upper-triangle edges of A, one "u v" line per edge in
+    row-major order, nodes numbered from 0.
+
+    A may be dense or any SciPy sparse matrix; sparse input is written in
+    O(stored entries) and gives the same bytes as its dense form.
+    """
+    U = triu(A, k=1, format="csr")  # canonical: duplicates summed, indices sorted
+    U.eliminate_zeros()
+    rows = np.repeat(np.arange(U.shape[0]), np.diff(U.indptr))
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in zip(iu, ju):
-            fh.write(f"{i} {j}\n")
+        fh.writelines(f"{i} {j}\n" for i, j in zip(rows.tolist(), U.indices.tolist()))
 
 
-def largest_connected_component(A: np.ndarray):
+def largest_connected_component(A):
     """Induced subgraph on the largest connected component.
 
-    Ties between components of equal size are broken in favour of the
-    component containing the smallest node id.
+    A may be dense or any SciPy sparse matrix; sparse input costs
+    O(n + stored entries).  Ties between components of equal size are
+    broken in favour of the component containing the smallest node id.
 
     Returns
     -------
-    A_sub : ndarray
-        Adjacency matrix of the component.
+    A_sub : ndarray or scipy.sparse CSR
+        Adjacency matrix of the component: dense for dense input, CSR
+        (of the input's matrix or array type) for sparse input.
     nodes : ndarray
         Original indices of the retained nodes, ascending.
     """
-    A = np.asarray(A)
+    A = A.tocsr() if issparse(A) else np.asarray(A)
     if A.shape[0] < 1:
         raise ValueError("graph must have at least one node")
-    n_comp, labels = connected_components(csr_matrix(A), directed=False)
-    sizes = np.bincount(labels, minlength=n_comp)
-    best = max(
-        range(n_comp),
-        key=lambda c: (sizes[c], -int(np.nonzero(labels == c)[0][0])),
-    )
-    nodes = np.nonzero(labels == best)[0]
+    _, labels = connected_components(csr_array(A), directed=False)
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    best = np.lexsort((first, -sizes))[0]
+    nodes = np.flatnonzero(labels == best)
+    if issparse(A):
+        return A[nodes][:, nodes], nodes
     return A[np.ix_(nodes, nodes)], nodes
 
 

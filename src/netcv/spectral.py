@@ -85,7 +85,8 @@ def top_k_right_singular(M, k: int) -> SingularBasis:
     if min(m, n) <= max(2 * k + 1, 20):
         _, s, Vt = np.linalg.svd(M.toarray(), full_matrices=False)
         return SingularBasis(_fix_signs(Vt[:k].T.copy()), s[:k].copy())
-    gram = LinearOperator((n, n), dtype=float, matvec=lambda x: M.T @ (M @ x))
+    MT = M.T.tocsr()  # built once: each entry of MT @ y sums in the order M.T @ y does
+    gram = LinearOperator((n, n), dtype=float, matvec=lambda x: MT @ (M @ x))
     try:
         _, Q = eigsh(gram, k=k, rng=np.random.default_rng(0))
     except ArpackError as exc:

@@ -1,11 +1,12 @@
 """Graph utilities: edge-list IO, components, fold partitions, label metrics."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, csr_matrix
 
 from netcv.graphs import (check_adjacency, check_membership, confusion_matrix,
                           hamming_up_to_permutation, largest_connected_component,
@@ -21,6 +22,44 @@ def hamming_perm_oracle(g1, g2, k):
         relabeled = np.array([perm[c - 1] for c in g1])
         best = min(best, int(np.sum(relabeled != g2)))
     return best
+
+
+def load_edge_list_oracle(path, symmetrize=True):
+    """The line-by-line dense loader that ``load_edge_list`` replaced."""
+    ids = {}
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected two node tokens, got {len(tokens)}"
+                )
+            pair = []
+            for tok in tokens:
+                if tok not in ids:
+                    ids[tok] = len(ids)
+                pair.append(ids[tok])
+            edges.append(pair)
+    if not ids:
+        raise ValueError(f"{path}: empty edge list")
+    n = len(ids)
+    i, j = np.array(edges, dtype=np.int64).T
+    keep = i != j
+    i, j = i[keep], j[keep]
+    if symmetrize:
+        i, j = np.concatenate([i, j]), np.concatenate([j, i])
+    A = np.zeros((n, n), dtype=np.int8)
+    A[i, j] = 1
+    if not symmetrize and not np.array_equal(A, A.T):
+        raise ValueError(f"{path}: edge list is not symmetric and symmetrize=False")
+    node_ids = [None] * n
+    for tok, idx in ids.items():
+        node_ids[idx] = tok
+    return A, node_ids
 
 
 # ---------------------------------------------------------------- validation
@@ -162,7 +201,132 @@ def test_edge_list_round_trip(tmp_path):
     # loaded index i is the original node int(ids[i])
     perm = np.array([int(tok) for tok in ids])
     assert sorted(perm) == list(range(n))
-    assert np.array_equal(A[np.ix_(perm, perm)], B)
+    assert np.array_equal(A[np.ix_(perm, perm)], B.toarray())
+
+
+def test_load_edge_list_returns_canonical_csr(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("a b\nb a\nb c\nc c\n")
+    A, ids = load_edge_list(p)
+    assert ids == ["a", "b", "c"]
+    assert isinstance(A, csr_array) and A.dtype == float
+    assert A.has_canonical_format and A.nnz == 4
+    assert np.array_equal(A.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    C = check_adjacency(A)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(C, name), getattr(A, name))
+
+
+def test_load_edge_list_skips_byte_order_mark(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_bytes("\ufeff0 1\n1 2\n2 0\n".encode("utf-8"))
+    A, ids = load_edge_list(p)
+    assert ids == ["0", "1", "2"]
+    assert np.array_equal(A.toarray(), 1 - np.eye(3))
+
+
+# Node tokens, separators and line endings that one parse must treat
+# exactly as the line-by-line loader did.  "\x0b", "\x0c" and "\x85" split
+# tokens but, unlike under str.splitlines, do not end a line; "\r\n" and a
+# lone "\r" do.
+_TOKENS = ["0", "1", "2", "10", "007", "a", "node_b", "\u00e9", "#x"]
+_SEPS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x85"]
+_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    tok = st.sampled_from(_TOKENS)
+    sep = st.sampled_from(_SEPS)
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = []
+    edges = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["repeat", "comment", "blank", "bad"]))
+        if kind == "edge" or (kind == "repeat" and not edges):
+            u, v = draw(tok), draw(tok)
+            edges.append((u, v))
+            body = u + draw(sep) + v
+        elif kind == "repeat":  # an earlier edge again, as listed or reversed
+            u, v = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                u, v = v, u
+            body = u + draw(sep) + v
+        elif kind == "comment":
+            body = "#" + draw(st.sampled_from(["", " a b", "x y z", "#"]))
+        elif kind == "blank":
+            body = ""
+        else:  # one token or three
+            body = draw(sep).join(draw(st.lists(tok, min_size=1, max_size=3)
+                                       .filter(lambda ts: len(ts) != 2)))
+        lines.append(draw(pad) + body + draw(pad) + draw(st.sampled_from(_ENDS)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no newline at the end
+    return "".join(lines)
+
+
+@given(text=edge_list_texts(), symmetrize=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_edge_list_matches_line_by_line_oracle(tmp_path_factory, text, symmetrize):
+    p = tmp_path_factory.mktemp("edges") / "g.txt"
+    p.write_bytes(text.encode("utf-8"))
+    try:
+        want_A, want_ids = load_edge_list_oracle(p, symmetrize=symmetrize)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_edge_list(p, symmetrize=symmetrize)
+        assert str(got.value) == str(exc)  # same message, same line number
+        return
+    A, ids = load_edge_list(p, symmetrize=symmetrize)
+    assert ids == want_ids
+    assert np.array_equal(A.toarray(), want_A)
+
+
+def _write_rows(path, n, degree, rng):
+    """Edge list of a uniform random graph, written one row of the upper
+    triangle at a time so that no n x n array is ever built."""
+    p = degree / (n - 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n - 1):
+            js = np.unique(rng.integers(i + 1, n, size=rng.binomial(n - i - 1, p)))
+            fh.write("".join(f"{i} {j}\n" for j in js.tolist()))
+
+
+def test_load_edge_list_memory_is_bounded_by_edges(tmp_path):
+    # n = 20,000 at average degree about 30: the peak is about 39 MiB,
+    # most of it the flat token list; the dense int8 A of the
+    # line-by-line loader alone would take 381 MiB
+    path = tmp_path / "big.txt"
+    _write_rows(path, 20_000, 30, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        A = check_adjacency(load_edge_list(path)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape[0] > 19_900 and 25 < A.nnz / A.shape[0] < 35
+    assert peak < 80 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def _random_graph(n, p, seed):
+    rng = np.random.default_rng(seed)
+    A = np.triu((rng.random((n, n)) < p).astype(np.int8), 1)
+    return A + A.T
+
+
+@pytest.mark.parametrize("kind", [csr_array, csr_matrix])
+def test_write_edge_list_same_bytes_from_dense_and_sparse(tmp_path, kind):
+    def written(M):
+        write_edge_list(M, tmp_path / "g.txt")
+        return (tmp_path / "g.txt").read_bytes()
+
+    A = _random_graph(30, 0.2, 3)
+    iu, ju = np.nonzero(np.triu(A, 1))  # the dense writer's row-major order
+    assert written(A) == "".join(f"{i} {j}\n" for i, j in zip(iu, ju)).encode()
+    assert written(kind(A)) == written(A)
+    S = kind(A.astype(float))
+    S.data[:5] = 0.0  # explicitly stored zeros are not edges
+    assert written(S) == written(S.toarray()) != written(A)
 
 
 # ---------------------------------------------------------------- components
@@ -190,6 +354,19 @@ def test_lcc_isolated_nodes():
     A[1, 2] = A[2, 1] = 1
     _, nodes = largest_connected_component(A)
     assert list(nodes) == [1, 2]
+
+
+@pytest.mark.parametrize("kind", [csr_array, csr_matrix])
+def test_lcc_sparse_input_matches_dense_and_stays_sparse(kind):
+    tie = np.zeros((4, 4), dtype=np.int8)  # two components of size 2
+    tie[[0, 2, 1, 3], [2, 0, 3, 1]] = 1
+    for A in [tie] + [_random_graph(40, 0.04, seed) for seed in range(5)]:
+        sub, nodes = largest_connected_component(A)
+        sub_s, nodes_s = largest_connected_component(kind(A))
+        assert isinstance(sub, np.ndarray)
+        assert isinstance(sub_s, kind) and sub_s.format == "csr"
+        assert np.array_equal(nodes_s, nodes)
+        assert np.array_equal(sub_s.toarray(), sub)
 
 
 # ---------------------------------------------------------------- partitions

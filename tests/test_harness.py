@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import netcv.harness
 import netcv.ncv
@@ -130,13 +131,21 @@ def test_polblogs_missing_file_hint(tmp_path):
         run_polblogs(str(tmp_path / "nope.txt"), reps=1)
 
 
-def test_polblogs_runner_on_synthetic_graph(tmp_path):
+def test_polblogs_runner_on_synthetic_graph(tmp_path, monkeypatch):
     g = np.repeat([1, 2], 40)
     B = np.array([[0.5, 0.05], [0.05, 0.5]])
     A = sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(0))
     path = tmp_path / "edges.txt"
     write_edge_list(A, path)
+    seen = []
+
+    def spy(A, *args, **kwargs):
+        seen.append(A)
+        return repeat_ncv(A, *args, **kwargs)
+
+    monkeypatch.setattr(netcv.harness, "repeat_ncv", spy)
     table, curves = run_polblogs(str(path), reps=2, V=3, seed=1, kmax=2)
+    assert [issparse(A_lcc) for A_lcc in seen] == [True]  # never densified
     assert len(table.rows) == 4  # {sbm,dcbm} x {1,2}
     assert all(r["n_lcc"] == table.rows[0]["n_lcc"] for r in table.rows)
     assert sum(r["count"] for r in table.rows) == 2
