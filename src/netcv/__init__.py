@@ -6,8 +6,7 @@ from .graphs import (check_adjacency, check_membership, confusion_matrix,
                      hamming_up_to_permutation, largest_connected_component,
                      load_edge_list, partition_nodes, write_edge_list)
 from .models import (DcbmParams, SbmParams, expected_P, normalize_activeness,
-                     params_from_json, params_to_json, sample, sim1_params,
-                     sim2_params, sim3_params)
+                     sample, sim1_params, sim2_params, sim3_params)
 from .spectral import (ClusterResult, SingularBasis, geometric_median, kmeans,
                        kmedian_spherical, spectral_cluster_rect,
                        spherical_embed, spherical_spectral_cluster_rect,
@@ -26,8 +25,7 @@ __all__ = [
     "check_adjacency", "check_membership", "confusion_matrix",
     "hamming_up_to_permutation", "largest_connected_component",
     "load_edge_list", "partition_nodes", "write_edge_list",
-    "DcbmParams", "SbmParams", "expected_P", "normalize_activeness",
-    "params_from_json", "params_to_json", "sample",
+    "DcbmParams", "SbmParams", "expected_P", "normalize_activeness", "sample",
     "sim1_params", "sim2_params", "sim3_params",
     "ClusterResult", "SingularBasis", "geometric_median", "kmeans",
     "kmedian_spherical", "spectral_cluster_rect", "spherical_embed",

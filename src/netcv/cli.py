@@ -50,7 +50,7 @@ def _write_text(text, path):
 
 
 def cmd_select(args):
-    A, _ = load_edge_list(args.input, symmetrize=True)
+    A, _ = load_edge_list(args.input)
     models = tuple(tok for tok in args.models.split(",") if tok)
     candidates = candidate_grid(models, args.kmax)
     seed = _resolve_seed(args)

@@ -3,12 +3,12 @@
 An adjacency matrix is symmetric, binary ({0,1}) and has a zero
 diagonal.  ``check_adjacency`` accepts it dense or as any SciPy sparse
 matrix and returns the canonical float CSR array that cross-validation
-runs on.  The edge-list loader parses a file straight into that CSR
-form, never through an n x n array; the edge-list writer and the
-largest-component helper take dense or sparse input and cost O(edges)
-on sparse input.  Node memberships are integer vectors with labels in
-{1..K}.  All randomness is drawn from an explicitly passed
-``numpy.random.Generator``.
+runs on (the input itself when it is already in that form).  The
+edge-list loader parses a file straight into that CSR form, never
+through an n x n array; the edge-list writer and the largest-component
+helper take dense or sparse input and cost O(edges) on sparse input.
+Node memberships are integer vectors with labels in {1..K}.  All
+randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -23,18 +23,22 @@ def check_adjacency(A) -> csr_array:
     """Raise ValueError unless A is a square symmetric 0/1 matrix with zero
     diagonal; return it as a canonical float CSR array.
 
-    A may be a dense array or any SciPy sparse matrix or array.  Dense
-    input is converted first; explicitly stored zeros count as 0 and
-    duplicate entries are summed.  Once converted, the checks cost
-    O(n + stored entries).  The input is left unmodified.
+    A may be a dense array or any SciPy sparse matrix or array.  A
+    float64 ``csr_array`` in canonical format whose stored values are all
+    1.0 is checked and returned as is.  Any other input is converted to a
+    new array first, and is left unmodified: explicitly stored zeros count
+    as 0 and duplicate entries are summed.  Once converted, the checks
+    cost O(n + stored entries).
     """
     if not issparse(A):
         A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
-    A = csr_array(A).astype(float)
-    A.sum_duplicates()
-    A.eliminate_zeros()
+    if not (isinstance(A, csr_array) and A.dtype == np.float64
+            and A.has_canonical_format and np.all(A.data == 1.0)):
+        A = csr_array(A).astype(float)
+        A.sum_duplicates()
+        A.eliminate_zeros()
     if not _is_symmetric(A):
         raise ValueError("adjacency matrix must be symmetric")
     if A.diagonal().any():
@@ -62,26 +66,22 @@ def check_membership(g: np.ndarray, k: int) -> None:
         raise ValueError(f"labels must lie in 1..{k}")
 
 
-def load_edge_list(path, symmetrize: bool = True):
+def load_edge_list(path):
     """Read an undirected edge list into an adjacency matrix.
 
     The file format is UTF-8 text (a leading byte-order mark is
     skipped) with one edge per line, two whitespace-separated node
     tokens; lines starting with ``#`` and blank lines are ignored.  Node
     tokens may be arbitrary strings and are mapped to indices 0..n-1 in
-    order of first appearance.  Duplicate edges collapse to a single
-    edge and self-loops are dropped.  The file is parsed into one flat
-    token list and then integer index arrays, so memory is O(edges).
+    order of first appearance.  Every listed edge (i, j) also sets
+    (j, i); duplicate edges collapse to a single edge and self-loops are
+    dropped.  The file is parsed into one flat token list and then
+    integer index arrays, so memory is O(edges).
 
     Parameters
     ----------
     path : str or Path
         Edge-list file.
-    symmetrize : bool
-        If True (default), every listed edge (i, j) also sets (j, i).
-        If False, the listed edge set must already be symmetric and a
-        ValueError is raised otherwise (the returned matrix is always
-        symmetric).
 
     Returns
     -------
@@ -112,12 +112,9 @@ def load_edge_list(path, symmetrize: bool = True):
     i, j = ij[0::2], ij[1::2]
     keep = i != j
     i, j = i[keep], j[keep]
-    if symmetrize:
-        i, j = np.concatenate([i, j]), np.concatenate([j, i])
+    i, j = np.concatenate([i, j]), np.concatenate([j, i])
     A = csr_array((np.ones(i.size), (i, j)), shape=(n, n))  # sums duplicates
     A.data[:] = 1.0
-    if not symmetrize and not _is_symmetric(A):
-        raise ValueError(f"{path}: edge list is not symmetric and symmetrize=False")
     return A, node_ids
 
 
@@ -172,23 +169,18 @@ def partition_nodes(n: int, V: int, rng: np.random.Generator):
     """
     if not 1 < V <= n:
         raise ValueError(f"need 1 < V <= n, got V={V}, n={n}")
-    perm = rng.permutation(n)
-    base, extra = divmod(n, V)
-    folds = []
-    start = 0
-    for v in range(V):
-        size = base + (1 if v < extra else 0)
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
+    return [np.sort(f) for f in np.array_split(rng.permutation(n), V)]
 
 
 def confusion_matrix(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """K1 x K2 table of label co-occurrence counts (labels are 1-based)."""
+    """K1 x K2 table of label co-occurrence counts (labels are 1-based);
+    raises ValueError on a label below 1."""
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
     if g1.shape != g2.shape:
         raise ValueError("membership vectors must have equal length")
+    if min(g1.min(), g2.min()) < 1:
+        raise ValueError("labels must be >= 1")
     k1, k2 = int(g1.max()), int(g2.max())
     M = np.zeros((k1, k2), dtype=np.int64)
     np.add.at(M, (g1 - 1, g2 - 1), 1)

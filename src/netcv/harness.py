@@ -25,7 +25,7 @@ from .ncv import candidate_grid, canonical_loss, ncv_select, repeat_ncv
 
 logger = logging.getLogger(__name__)
 
-_SIM_IDS = {"sim1": 1, "sim2": 2, "sim3": 3, "polblogs": 4}
+_SIM_IDS = {"sim1": 1, "sim2": 2, "sim3": 3}
 
 # default sparsity grid for sim1 (the interesting range brackets the
 # phase transition near r = 0.1 for small planted communities)
@@ -62,6 +62,8 @@ class ExperimentSpec:
             self.r = tuple(float(x) for x in self.r)
         if self.n1 is not None:
             self.n1 = tuple(int(x) for x in self.n1)
+        if not set(self.model) <= {"sbm", "dcbm"}:
+            raise ValueError(f"model entries must be 'sbm' or 'dcbm', got {self.model}")
 
 
 def _write_csv(path_or_file, columns, rows):
@@ -89,9 +91,9 @@ class SuccessTable:
         self.to_csv(buf)
         return buf.getvalue()
 
-    def to_json(self, indent=2):
+    def to_json(self):
         return json.dumps({"which": self.which, "seed": self.seed,
-                           "rows": self.rows}, indent=indent)
+                           "rows": self.rows}, indent=2)
 
 
 def _cell_seq(seed, sim, *key):
@@ -136,20 +138,20 @@ def run_sim1(spec: ExperimentSpec) -> SuccessTable:
                                "exceed n=%d", K, n1, K * n1, spec.n)
     if not fits:
         raise ValueError(f"sim1: no (K, n1) cell fits n={spec.n}")
-    for r in r_grid:
-        for K, n1 in fits:
-            kmax = K + spec.kmax_extra
-            candidates = candidate_grid(("sbm",), kmax)
-            params = sim1_params(spec.n, K, n1, r)
-            sels = _select_reps(spec, candidates, "sim1",
-                                (K, n1, round(r * 1e6)), lambda rng: params)
-            hits = sum(1 for s in sels if s.K == K)
-            under = sum(1 for s in sels if s.K < K)
-            table.rows.append({"which": "sim1", "n": spec.n, "K": K,
-                               "n1": n1, "r": r, "kmax": kmax,
-                               "reps": spec.reps, "successes": hits,
-                               "rate": hits / spec.reps, "under": under,
-                               "seed": spec.seed})
+    # every cell's parameters first, so a bad grid value fails before any run
+    cells = [(r, K, n1, sim1_params(spec.n, K, n1, r)) for r in r_grid for K, n1 in fits]
+    for r, K, n1, params in cells:
+        kmax = K + spec.kmax_extra
+        candidates = candidate_grid(("sbm",), kmax)
+        sels = _select_reps(spec, candidates, "sim1",
+                            (K, n1, round(r * 1e6)), lambda rng: params)
+        hits = sum(1 for s in sels if s.K == K)
+        under = sum(1 for s in sels if s.K < K)
+        table.rows.append({"which": "sim1", "n": spec.n, "K": K,
+                           "n1": n1, "r": r, "kmax": kmax,
+                           "reps": spec.reps, "successes": hits,
+                           "rate": hits / spec.reps, "under": under,
+                           "seed": spec.seed})
     return table
 
 
@@ -214,7 +216,7 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
     """
     if not os.path.exists(path):
         raise FileNotFoundError(POLBLOGS_HINT.format(path=path))
-    A, _ = load_edge_list(path, symmetrize=True)
+    A, _ = load_edge_list(path)
     A_lcc, kept = largest_connected_component(A)
     logger.info("largest connected component: %d of %d nodes", kept.size, A.shape[0])
     candidates = candidate_grid(("sbm", "dcbm"), kmax)
@@ -239,7 +241,4 @@ def write_loss_curves_csv(curves, path_or_file):
 
 def run_experiment(spec: ExperimentSpec) -> SuccessTable:
     """Dispatch a simulation spec to its runner."""
-    runner = {"sim1": run_sim1, "sim2": run_sim2, "sim3": run_sim3}
-    if spec.which not in runner:
-        raise ValueError(f"run_experiment handles simulations, not {spec.which!r}")
-    return runner[spec.which](spec)
+    return {"sim1": run_sim1, "sim2": run_sim2, "sim3": run_sim3}[spec.which](spec)

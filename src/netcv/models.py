@@ -13,7 +13,6 @@ experiment designs in :mod:`netcv.harness`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +71,6 @@ class SbmParams:
     def n(self) -> int:
         return self.g.size
 
-    def to_dict(self) -> dict:
-        return {"model": "sbm", "k": self.k, "g": self.g.tolist(), "B": self.B.tolist()}
-
 
 @dataclass(frozen=True)
 class DcbmParams:
@@ -97,28 +93,6 @@ class DcbmParams:
     def n(self) -> int:
         return self.g.size
 
-    def to_dict(self) -> dict:
-        return {
-            "model": "dcbm",
-            "k": self.k,
-            "g": self.g.tolist(),
-            "B": self.B.tolist(),
-            "psi": self.psi.tolist(),
-        }
-
-
-def params_to_json(params) -> str:
-    return json.dumps(params.to_dict())
-
-
-def params_from_json(text: str):
-    d = json.loads(text)
-    if d.get("model") == "sbm":
-        return SbmParams(g=d["g"], k=d["k"], B=d["B"])
-    if d.get("model") == "dcbm":
-        return DcbmParams(g=d["g"], k=d["k"], B=d["B"], psi=d["psi"])
-    raise ValueError(f"unknown model type {d.get('model')!r}")
-
 
 def expected_P(params) -> np.ndarray:
     """Edge-probability matrix P with P[i, j] = B[g_i, g_j], times psi_i psi_j
@@ -133,7 +107,7 @@ def expected_P(params) -> np.ndarray:
 
 def sample(params, rng: np.random.Generator) -> np.ndarray:
     """Draw an adjacency matrix: independent Bernoulli edges for i < j,
-    symmetrized, zero diagonal.  Deterministic given the generator."""
+    mirrored to j > i, zero diagonal.  Deterministic given the generator."""
     P = expected_P(params)
     if P.min() < 0.0 or P.max() > 1.0:
         raise ValueError("edge probabilities outside [0, 1] (psi_i psi_j B > 1?)")

@@ -92,8 +92,8 @@ class NcvReport:
             "selected": {"model": self.selected.model, "K": self.selected.K},
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,

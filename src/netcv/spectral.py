@@ -41,6 +41,8 @@ _ON_POINT_TOL = 1e-10  # the Newton median hands over to Weiszfeld this close to
 _ARMIJO = 1e-4
 _RESTARTS = 10
 _MAX_ITER = 100
+_MEDIAN_TOL = 1e-8
+_MEDIAN_MAX_ITER = 500
 
 
 class SingularBasis(NamedTuple):
@@ -307,7 +309,7 @@ def _newton_step(P: np.ndarray, y: np.ndarray, diff: np.ndarray, d: np.ndarray, 
     return y, diff, d, "stall"
 
 
-def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
+def geometric_median(P: np.ndarray) -> np.ndarray:
     """Geometric median: the point y that minimises f(y) = sum_i ||x_i - y||.
 
     Newton's method on f from the mean, which converges quadratically
@@ -315,22 +317,23 @@ def geometric_median(P: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> n
     gradient is g = sum_i u_i and the Hessian is
     H = (sum_i 1/d_i) I - sum_i u_i u_i^T / d_i.  The step s = H^{-1} g is
     halved until f falls by an Armijo fraction of g.s, and y - s is
-    returned once ||s|| < tol.
+    returned once ||s|| < 1e-8.
 
     Newton stops when an iterate comes within 1e-10 of a data point, when
-    H is singular (collinear points) or when the halving stalls below tol.
+    H is singular (collinear points) or when the halving stalls below 1e-8.
     If f is lower at the data point nearest to the iterate, Newton has been
     drawn into the kink f has there: one Weiszfeld step from that point,
     with the Vardi-Zhang correction, either confirms it as the median or
     leaves it downhill, and Newton resumes.  Otherwise Weiszfeld iteration
-    goes on from the iterate.  ``max_iter`` bounds the Newton and Weiszfeld
-    steps together; a call that reaches it logs a warning and returns the
-    last iterate.
+    goes on from the iterate.  At most 500 Newton and Weiszfeld steps are
+    taken together; a call that reaches the cap logs a warning and returns
+    the last iterate.
     """
     P = np.ascontiguousarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
         raise ValueError(f"need at least one point as a row with at least one column, "
                          f"got shape {P.shape}")
+    tol, max_iter = _MEDIAN_TOL, _MEDIAN_MAX_ITER
     y = P.mean(axis=0)
     diff = y - P
     d = _dist(diff)

@@ -24,7 +24,7 @@ def hamming_perm_oracle(g1, g2, k):
     return best
 
 
-def load_edge_list_oracle(path, symmetrize=True):
+def load_edge_list_oracle(path):
     """The line-by-line dense loader that ``load_edge_list`` replaced."""
     ids = {}
     edges = []
@@ -50,12 +50,9 @@ def load_edge_list_oracle(path, symmetrize=True):
     i, j = np.array(edges, dtype=np.int64).T
     keep = i != j
     i, j = i[keep], j[keep]
-    if symmetrize:
-        i, j = np.concatenate([i, j]), np.concatenate([j, i])
     A = np.zeros((n, n), dtype=np.int8)
     A[i, j] = 1
-    if not symmetrize and not np.array_equal(A, A.T):
-        raise ValueError(f"{path}: edge list is not symmetric and symmetrize=False")
+    A[j, i] = 1
     node_ids = [None] * n
     for tok, idx in ids.items():
         node_ids[idx] = tok
@@ -136,6 +133,34 @@ def test_check_adjacency_returns_canonical_csr():
         check_adjacency(stored_zero)
 
 
+def test_check_adjacency_returns_canonical_input_as_is():
+    C = _csr([0, 1, 1, 2], [1, 0, 2, 1], [1, 1, 1, 1])
+    assert C.has_canonical_format
+    assert check_adjacency(C) is C
+
+
+def _stored(data, indices, indptr):
+    """3 x 3 CSR array holding exactly these arrays, not canonicalised."""
+    return csr_array((data, indices, indptr), shape=(3, 3))
+
+
+@pytest.mark.parametrize("A", [
+    _stored([0.5, 0.5, 1.0, 1.0, 1.0], [1, 1, 0, 2, 1], [0, 2, 4, 5]),  # duplicates
+    _stored([1.0, 0.0, 1.0, 1.0, 1.0], [1, 2, 0, 2, 1], [0, 2, 4, 5]),  # explicit zero
+    _stored(np.ones(4, dtype=np.int64), [1, 0, 2, 1], [0, 1, 3, 4]),     # int dtype
+    csr_matrix(_csr([0, 1, 1, 2], [1, 0, 2, 1], [1, 1, 1, 1])),          # matrix type
+], ids=["duplicates", "explicit-zero", "int", "csr_matrix"])
+def test_check_adjacency_copies_any_other_input(A):
+    before = [x.copy() for x in (A.data, A.indices, A.indptr)]
+    C = check_adjacency(A)
+    assert isinstance(C, csr_array) and C.dtype == float and C.has_canonical_format
+    assert not np.shares_memory(C.data, A.data)
+    assert not np.shares_memory(C.indices, A.indices)
+    assert np.array_equal(C.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    for x, y in zip(before, (A.data, A.indices, A.indptr)):
+        assert np.array_equal(x, y)
+
+
 def test_check_membership_bounds():
     check_membership(np.array([1, 2, 1]), 2)
     with pytest.raises(ValueError):
@@ -175,16 +200,6 @@ def test_load_edge_list_empty_rejected(tmp_path):
     p.write_text("# nothing here\n")
     with pytest.raises(ValueError, match="empty"):
         load_edge_list(p)
-
-
-def test_load_edge_list_asymmetric_rejected_when_not_symmetrizing(tmp_path):
-    p = tmp_path / "g.txt"
-    p.write_text("0 1\n")
-    with pytest.raises(ValueError, match="not symmetric"):
-        load_edge_list(p, symmetrize=False)
-    p.write_text("0 1\n1 0\n")
-    A, _ = load_edge_list(p, symmetrize=False)
-    assert A.sum() == 2
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -265,19 +280,19 @@ def edge_list_texts(draw):
     return "".join(lines)
 
 
-@given(text=edge_list_texts(), symmetrize=st.booleans())
+@given(text=edge_list_texts())
 @settings(max_examples=300, deadline=None)
-def test_load_edge_list_matches_line_by_line_oracle(tmp_path_factory, text, symmetrize):
+def test_load_edge_list_matches_line_by_line_oracle(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("edges") / "g.txt"
     p.write_bytes(text.encode("utf-8"))
     try:
-        want_A, want_ids = load_edge_list_oracle(p, symmetrize=symmetrize)
+        want_A, want_ids = load_edge_list_oracle(p)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            load_edge_list(p, symmetrize=symmetrize)
+            load_edge_list(p)
         assert str(got.value) == str(exc)  # same message, same line number
         return
-    A, ids = load_edge_list(p, symmetrize=symmetrize)
+    A, ids = load_edge_list(p)
     assert ids == want_ids
     assert np.array_equal(A.toarray(), want_A)
 
@@ -395,6 +410,28 @@ def test_partition_rejects_bad_V():
         partition_nodes(5, 6, rng)
 
 
+def fold_loop_reference(n, V, rng):
+    """The hand-written fold loop that ``partition_nodes`` replaced."""
+    perm = rng.permutation(n)
+    base, extra = divmod(n, V)
+    folds = []
+    start = 0
+    for v in range(V):
+        size = base + (1 if v < extra else 0)
+        folds.append(np.sort(perm[start : start + size]))
+        start += size
+    return folds
+
+
+def test_partition_matches_the_fold_loop_bitwise():
+    for V in range(2, 10):
+        for n in range(V, 200):
+            got = partition_nodes(n, V, np.random.default_rng(n))
+            want = fold_loop_reference(n, V, np.random.default_rng(n))
+            assert [(f.dtype, f.tobytes()) for f in got] == \
+                [(f.dtype, f.tobytes()) for f in want]
+
+
 @given(n=st.integers(2, 60), V=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_partition_properties(n, V, seed):
@@ -420,6 +457,14 @@ def test_confusion_matrix_small():
     assert C[1, 0] == 1
     assert C[1, 1] == 1
     assert C.sum() == 4
+
+
+def test_label_metrics_reject_labels_below_one():
+    # label 0 would otherwise be counted as the largest label
+    with pytest.raises(ValueError, match="labels must be >= 1"):
+        confusion_matrix([0, 1, 1, 2], [1, 1, 2, 2])
+    with pytest.raises(ValueError, match="labels must be >= 1"):
+        hamming_up_to_permutation([1, 1, 2, 2], [1, 0, 2, 2])
 
 
 def test_hamming_zero_on_relabeling():

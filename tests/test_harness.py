@@ -45,6 +45,12 @@ def test_spec_rejects_missing_or_nonpositive_K(K):
         small_spec(K=K)
 
 
+@pytest.mark.parametrize("model", [("sbm", "erdos"), ("dcbm ",)])
+def test_spec_rejects_unknown_model(model):
+    with pytest.raises(ValueError, match="'sbm' or 'dcbm'"):
+        small_spec(which="sim3", model=model)
+
+
 def test_spec_canonicalizes_loss():
     assert small_spec(loss="nll").loss == "negloglik"
     with pytest.raises(ValueError):
@@ -62,6 +68,16 @@ def test_run_sim1_small_grid():
     assert row["reps"] == 3
     assert 0.0 <= row["rate"] <= 1.0
     assert row["successes"] == 3  # strong signal at r=0.2, balanced
+
+
+@pytest.mark.parametrize("grid", [dict(r=(0.05, 0.2, 0.5)), dict(n1=(60, 0))])
+def test_run_sim1_bad_grid_value_fails_before_any_run(grid, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ncv_select ran before the grid was checked")
+
+    monkeypatch.setattr(netcv.harness, "ncv_select", never)
+    with pytest.raises(ValueError, match="r must lie|n1"):
+        run_sim1(small_spec(**grid))
 
 
 def test_run_sim1_skips_infeasible_cells(caplog):
@@ -120,7 +136,7 @@ def test_run_sim3_covers_both_models():
 def test_run_experiment_dispatch():
     t = run_experiment(small_spec())
     assert t.which == "sim1"
-    with pytest.raises(ValueError, match="simulations"):
+    with pytest.raises(ValueError, match="unknown experiment 'polblogs'"):
         run_experiment(ExperimentSpec(which="polblogs"))
 
 
@@ -162,7 +178,7 @@ def test_polblogs_curves_reuse_the_first_report(tmp_path, monkeypatch):
     A = sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(0))
     path = tmp_path / "edges.txt"
     write_edge_list(A, path)
-    A_lcc, _ = largest_connected_component(load_edge_list(path, symmetrize=True)[0])
+    A_lcc, _ = largest_connected_component(load_edge_list(path)[0])
     rep_seeds = repeat_ncv(A_lcc, [("sbm", 1)], V=3, fn="nll", reps=3,
                            master_seed=1).rep_seeds
     expected = ncv_select(A_lcc, candidate_grid(("sbm", "dcbm"), 2), V=3, fn="nll",

@@ -1,13 +1,10 @@
 """Block-model parameter containers, samplers and simulation presets."""
 
-import json
-
 import numpy as np
 import pytest
 
 from netcv.models import (DcbmParams, SbmParams, expected_P, normalize_activeness,
-                          params_from_json, params_to_json, sample,
-                          sim1_params, sim2_params, sim3_params,
+                          sample, sim1_params, sim2_params, sim3_params,
                           sim2_sigma_threshold, _multinomial_membership)
 
 
@@ -59,21 +56,6 @@ def test_dcbm_params_rejects_non_finite_psi(bad):
     psi = np.array([1.0, bad, 0.5, 1.0, 0.7, 0.7])
     with pytest.raises(ValueError, match="finite"):
         DcbmParams(g=g, k=2, B=B, psi=psi)
-
-
-def test_params_json_round_trip():
-    p = two_block_params()
-    q = params_from_json(params_to_json(p))
-    assert isinstance(q, SbmParams)
-    assert np.array_equal(p.g, q.g)
-    assert np.allclose(p.B, q.B)
-
-    g = np.repeat([1, 2], 3)
-    d = DcbmParams(g=g, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]]),
-                   psi=np.array([1.0, 0.5, 0.5, 1.0, 0.7, 0.7]))
-    d2 = params_from_json(params_to_json(d))
-    assert isinstance(d2, DcbmParams)
-    assert np.allclose(d.psi, d2.psi)
 
 
 # ---------------------------------------------------------------- expected_P
@@ -225,10 +207,3 @@ def test_sim3_params_sbm_and_dcbm():
     assert pd.psi.min() >= 0.2
     with pytest.raises(ValueError):
         sim3_params(200, 2, "erdos", np.random.default_rng(0))
-
-
-def test_params_to_json_is_loadable():
-    txt = params_to_json(two_block_params())
-    blob = json.loads(txt)
-    assert blob["k"] == 2
-    assert len(blob["g"]) == 10

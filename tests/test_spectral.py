@@ -290,12 +290,13 @@ def test_geometric_median_collinear_matches_scan():
     assert np.isclose(np.abs(np.array(xs) - y[0]).sum(), obj_star, atol=1e-4)
 
 
-def test_geometric_median_optimality_condition():
+def test_geometric_median_optimality_condition(monkeypatch):
     # at the optimum the unit vectors toward the points nearly cancel
+    monkeypatch.setattr(netcv.spectral, "_MEDIAN_TOL", 1e-12)
     rng = np.random.default_rng(8)
     for _ in range(10):
         P = rng.standard_normal((7, 3))
-        y = geometric_median(P, tol=1e-12)
+        y = geometric_median(P)
         d = np.linalg.norm(P - y, axis=1)
         if d.min() < 1e-9:  # landed on a data point: subgradient ball
             grad = ((P - y)[d > 1e-9] / d[d > 1e-9, None]).sum(axis=0)
@@ -305,10 +306,11 @@ def test_geometric_median_optimality_condition():
             assert np.linalg.norm(grad) < 1e-4
 
 
-def test_geometric_median_warns_at_max_iter(caplog):
+def test_geometric_median_warns_at_max_iter(caplog, monkeypatch):
     P = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-    with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
-        geometric_median(P, max_iter=1)
+    with monkeypatch.context() as m, caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+        m.setattr(netcv.spectral, "_MEDIAN_MAX_ITER", 1)
+        geometric_median(P)
     assert "max_iter=1" in caplog.text
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
