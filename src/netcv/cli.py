@@ -109,7 +109,7 @@ def cmd_bench(args):
         spec = ExperimentSpec(which=args.which, n=args.n, K=args.k,
                               n1=args.n1, r=args.r, reps=args.reps,
                               V=args.folds, seed=seed, loss=args.loss,
-                              kmax_extra=args.kmax_extra)
+                              kmax_extra=args.kmax_extra, threads=args.threads)
         table = run_experiment(spec)
         _write_text(table.csv_text(), args.out)
     if args.json is not None:
@@ -134,7 +134,8 @@ def build_parser():
     ps.add_argument("--loss", default="nll", choices=["nll", "l2", "negloglik", "squared"])
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--threads", type=int, default=None,
-                    help="accepted and ignored; cells run in sequence")
+                    help="accepted and ignored; the cells of one select "
+                         "run in sequence")
     ps.add_argument("--output", default=None, help="JSON report path (default stdout)")
     ps.set_defaults(func=cmd_select)
 
@@ -171,7 +172,9 @@ def build_parser():
     pb.add_argument("--curves", default=None, help="loss-curve CSV path (polblogs)")
     pb.add_argument("--seed", type=int, default=None)
     pb.add_argument("--threads", type=int, default=None,
-                    help="accepted and ignored; replicates run in sequence")
+                    help="sim1/sim2/sim3: run up to this many replicates at "
+                         "once, in worker processes (never more than the usable "
+                         "CPUs); the table does not depend on it")
     pb.add_argument("--out", default=None, help="CSV path (default stdout)")
     pb.add_argument("--json", default=None, help="also write the table as JSON here")
     pb.set_defaults(func=cmd_bench)

@@ -14,7 +14,6 @@ randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array, issparse, triu
 from scipy.sparse.csgraph import connected_components
 
@@ -194,6 +193,8 @@ def hamming_up_to_permutation(g1: np.ndarray, g2: np.ndarray) -> int:
     confusion matrix (solved exactly with the Hungarian method), which
     equals the minimum over label permutations of ``#{i: pi(g1_i) != g2_i}``.
     """
+    from scipy.optimize import linear_sum_assignment  # imported here: 0.2 s of netcv's import
+
     M = confusion_matrix(g1, g2)
     k = max(M.shape)
     square = np.zeros((k, k), dtype=np.int64)

@@ -5,7 +5,8 @@ random block matrices filtered by smallest singular value, and joint
 model-type + K selection) plus the political-blogs data run.  Every
 cell of a run is reproducible bit for bit from (spec, seed): per-rep
 generators are derived from the master seed and the cell parameters,
-never from global state.
+never from global state, so the table is the same whether replicates
+run in sequence or spread over worker processes (``spec.threads``).
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import csv
 import io
 import json
 import logging
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +49,7 @@ class ExperimentSpec:
     seed: int = 0
     loss: str = "negloglik"
     kmax_extra: int = 2           # candidates run over 1..K_true+kmax_extra
-    threads: int | None = None    # accepted; replicates always run in sequence
+    threads: int | None = None    # up to this many replicates at once, in processes
 
     def __post_init__(self):
         if self.which not in _SIM_IDS:
@@ -54,6 +58,8 @@ class ExperimentSpec:
             raise ValueError(f"need reps >= 1, got {self.reps}")
         if self.V < 2:
             raise ValueError(f"need V >= 2, got {self.V}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"need threads >= 1, got {self.threads}")
         self.loss = canonical_loss(self.loss)
         self.K = tuple(int(k) for k in self.K)
         if not self.K or min(self.K) < 1:
@@ -103,20 +109,74 @@ def _cell_seq(seed, sim, *key):
     return np.random.SeedSequence(seed, spawn_key=(_SIM_IDS[sim],) + ints)
 
 
-def _select_reps(spec, candidates, sim, key, params_of):
-    """Selected candidate of each replicate of one grid cell.
+def _select_rep(spec, candidates, sim, key, rep, params_of):
+    """Selected candidate of replicate ``rep`` of one grid cell.
 
-    Replicate ``rep`` draws, from the generator of ``_cell_seq(spec.seed,
-    sim, *key, rep)`` and in this order: the model parameters
-    (``params_of(rng)``), the graph, and the seed of its NCV run.
+    Draws, from the generator of ``_cell_seq(spec.seed, sim, *key, rep)``
+    and in this order: the model parameters (``params_of(rng)``), the
+    graph, and the seed of its NCV run.  The replicate depends on its
+    arguments alone, so it gives the same selection in any process.
     """
-    sels = []
-    for rep in range(spec.reps):
-        rng = np.random.default_rng(_cell_seq(spec.seed, sim, *key, rep))
-        A = sample(params_of(rng), rng)
-        seed = int(rng.integers(2**63))
-        sels.append(ncv_select(A, candidates, V=spec.V, fn=spec.loss, seed=seed).selected)
-    return sels
+    rng = np.random.default_rng(_cell_seq(spec.seed, sim, *key, rep))
+    A = sample(params_of(rng), rng)
+    seed = int(rng.integers(2**63))
+    return ncv_select(A, candidates, V=spec.V, fn=spec.loss, seed=seed).selected
+
+
+def _given(params, rng):
+    """``params_of`` of a design whose parameters are fixed (sim1)."""
+    return params
+
+
+def _worker_count(threads, n_tasks, cpus):
+    """Processes to run ``n_tasks`` tasks on: at most ``threads``, one
+    per task and one per usable CPU; 1 means no pool."""
+    return min(threads or 1, n_tasks, cpus)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(fn, tasks, threads):
+    """``[fn(*t) for t in tasks]``, run on up to ``threads`` processes.
+
+    With w > 1 processes the caller runs tasks 0, w, 2w, ... itself and
+    w - 1 forked workers run the rest.  Workers are forked, not spawned,
+    because a spawned worker would import netcv again (most of a second);
+    where the platform cannot fork, the tasks run in sequence.  A task's
+    exception reaches the caller when its result is read.
+    """
+    w = _worker_count(threads, len(tasks), _usable_cpus())
+    if w <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*t) for t in tasks]
+    results = [None] * len(tasks)
+    with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(fn, *t) for i, t in enumerate(tasks) if i % w}
+        try:
+            for i in range(0, len(tasks), w):
+                results[i] = fn(*tasks[i])
+            for i, future in futures.items():
+                results[i] = future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
+
+
+def _select_cells(spec, sim, cells):
+    """Selections of every replicate of every cell, one list per cell.
+
+    ``cells`` holds (key, candidates, params_of) per grid cell; the
+    run's replicates form one task list shared by ``spec.threads``
+    processes.
+    """
+    tasks = [(spec, candidates, sim, key, rep, params_of)
+             for key, candidates, params_of in cells for rep in range(spec.reps)]
+    sels = _run_tasks(_select_rep, tasks, spec.threads)
+    return [sels[i:i + spec.reps] for i in range(0, len(sels), spec.reps)]
 
 
 def run_sim1(spec: ExperimentSpec) -> SuccessTable:
@@ -140,11 +200,11 @@ def run_sim1(spec: ExperimentSpec) -> SuccessTable:
         raise ValueError(f"sim1: no (K, n1) cell fits n={spec.n}")
     # every cell's parameters first, so a bad grid value fails before any run
     cells = [(r, K, n1, sim1_params(spec.n, K, n1, r)) for r in r_grid for K, n1 in fits]
-    for r, K, n1, params in cells:
+    sels_of = _select_cells(spec, "sim1", [
+        ((K, n1, round(r * 1e6)), candidate_grid(("sbm",), K + spec.kmax_extra),
+         partial(_given, params)) for r, K, n1, params in cells])
+    for (r, K, n1, _), sels in zip(cells, sels_of):
         kmax = K + spec.kmax_extra
-        candidates = candidate_grid(("sbm",), kmax)
-        sels = _select_reps(spec, candidates, "sim1",
-                            (K, n1, round(r * 1e6)), lambda rng: params)
         hits = sum(1 for s in sels if s.K == K)
         under = sum(1 for s in sels if s.K < K)
         table.rows.append({"which": "sim1", "n": spec.n, "K": K,
@@ -160,11 +220,11 @@ def run_sim2(spec: ExperimentSpec) -> SuccessTable:
     smallest singular value clears the pilot 25th-percentile bar."""
     cols = ["which", "n", "K", "kmax", "reps", "successes", "rate", "seed"]
     table = SuccessTable("sim2", spec.seed, cols)
-    for K in spec.K:
+    sels_of = _select_cells(spec, "sim2", [
+        ((K,), candidate_grid(("sbm",), K + spec.kmax_extra),
+         partial(sim2_params, spec.n, K)) for K in spec.K])
+    for K, sels in zip(spec.K, sels_of):
         kmax = K + spec.kmax_extra
-        candidates = candidate_grid(("sbm",), kmax)
-        sels = _select_reps(spec, candidates, "sim2", (K,),
-                            lambda rng: sim2_params(spec.n, K, rng))
         hits = sum(1 for s in sels if s.K == K)
         table.rows.append({"which": "sim2", "n": spec.n, "K": K, "kmax": kmax,
                            "reps": spec.reps, "successes": hits,
@@ -180,22 +240,20 @@ def run_sim3(spec: ExperimentSpec) -> SuccessTable:
     cols = ["which", "model", "n", "K", "kmax", "reps",
             "type_correct", "type_rate", "k_given_type", "k_rate", "seed"]
     table = SuccessTable("sim3", spec.seed, cols)
-    for model in spec.model:
-        for K in spec.K:
-            kmax = K + spec.kmax_extra
-            candidates = candidate_grid(("sbm", "dcbm"), kmax)
-            sels = _select_reps(spec, candidates, "sim3",
-                                (0 if model == "sbm" else 1, K),
-                                lambda rng: sim3_params(spec.n, K, model, rng))
-            type_hits = sum(1 for s in sels if s.model == model)
-            k_hits = sum(1 for s in sels if s.model == model and s.K == K)
-            k_rate = k_hits / type_hits if type_hits else float("nan")
-            table.rows.append({"which": "sim3", "model": model, "n": spec.n,
-                               "K": K, "kmax": kmax, "reps": spec.reps,
-                               "type_correct": type_hits,
-                               "type_rate": type_hits / spec.reps,
-                               "k_given_type": k_hits, "k_rate": k_rate,
-                               "seed": spec.seed})
+    grid = [(model, K) for model in spec.model for K in spec.K]
+    sels_of = _select_cells(spec, "sim3", [
+        ((0 if model == "sbm" else 1, K), candidate_grid(("sbm", "dcbm"), K + spec.kmax_extra),
+         partial(sim3_params, spec.n, K, model)) for model, K in grid])
+    for (model, K), sels in zip(grid, sels_of):
+        type_hits = sum(1 for s in sels if s.model == model)
+        k_hits = sum(1 for s in sels if s.model == model and s.K == K)
+        k_rate = k_hits / type_hits if type_hits else float("nan")
+        table.rows.append({"which": "sim3", "model": model, "n": spec.n,
+                           "K": K, "kmax": K + spec.kmax_extra, "reps": spec.reps,
+                           "type_correct": type_hits,
+                           "type_rate": type_hits / spec.reps,
+                           "k_given_type": k_hits, "k_rate": k_rate,
+                           "seed": spec.seed})
     return table
 
 

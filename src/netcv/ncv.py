@@ -213,7 +213,8 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     CSR adjacency (``check_adjacency``), on which the whole select runs
     in memory bounded by the edges plus one held-out block.  The
     (candidate, fold) cells run in sequence; ``threads`` is accepted and
-    has no effect.
+    has no effect (``ExperimentSpec.threads`` runs whole replicates of a
+    simulation at once instead).
     """
     return _select(check_adjacency(A), candidates, V, fn, seed)
 

@@ -31,6 +31,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -288,9 +289,9 @@ def _newton_step(P: np.ndarray, y: np.ndarray, diff: np.ndarray, d: np.ndarray, 
     w = 1.0 / d
     u = diff * w[:, None]
     g = u.sum(axis=0)
-    try:
-        s = np.linalg.solve(w.sum() * np.eye(len(g)) - (u.T * w) @ u, g)
-    except np.linalg.LinAlgError:
+    # LAPACK directly: np.linalg.solve's wrapper takes about 5x as long on K x K
+    s, info = dgesv(w.sum() * np.eye(len(g)) - (u.T * w) @ u, g)[2:]
+    if info != 0:
         return y, diff, d, "singular"
     slope = g @ s
     if not 0.0 < slope < np.inf:  # no finite descent step: H is (near) singular

@@ -188,6 +188,15 @@ def test_bench_deterministic_bytes(capsys):
     assert a == b
 
 
+def test_bench_rejects_threads_below_one(capsys):
+    code = main(["bench", "sim1", "--n", "90", "--k", "2", "--n1", "45", "--r",
+                 "0.2", "--reps", "1", "--seed", "1", "--threads", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need threads >= 1, got 0" in captured.err
+
+
 @pytest.mark.parametrize("k", ["0", ""])
 def test_bench_rejects_missing_or_zero_k(k, capsys):
     code = main(["bench", "sim1", "--n", "90", "--k", k, "--reps", "1",

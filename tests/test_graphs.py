@@ -1,6 +1,9 @@
 """Graph utilities: edge-list IO, components, fold partitions, label metrics."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array, csr_matrix
 
+import netcv
 from netcv.graphs import (check_adjacency, check_membership, confusion_matrix,
                           hamming_up_to_permutation, largest_connected_component,
                           load_edge_list, partition_nodes, write_edge_list)
@@ -471,6 +475,17 @@ def test_hamming_zero_on_relabeling():
     g = np.array([1, 2, 3, 1, 2, 3])
     relabeled = np.array([3, 1, 2, 3, 1, 2])
     assert hamming_up_to_permutation(g, relabeled) == 0
+
+
+def test_import_leaves_the_assignment_solver_unloaded():
+    # scipy.optimize is about a quarter of netcv's import time, and only
+    # hamming_up_to_permutation needs it
+    src = os.path.dirname(os.path.dirname(netcv.__file__))
+    code = ("import sys, netcv, netcv.cli, netcv.harness; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_hamming_counts_disagreements():

@@ -1,6 +1,7 @@
 """Benchmark harness: spec validation, tables, reproducibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ def test_spec_rejects_unknown_model(model):
         small_spec(which="sim3", model=model)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_spec_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads >= 1"):
+        small_spec(threads=threads)
+
+
 def test_spec_canonicalizes_loss():
     assert small_spec(loss="nll").loss == "negloglik"
     with pytest.raises(ValueError):
@@ -98,6 +105,58 @@ def test_run_sim1_bitwise_reproducible():
     b = run_sim1(small_spec()).csv_text()
     c = run_sim1(small_spec(threads=3)).csv_text()
     assert a == b == c
+
+
+# ------------------------------------------------------ worker processes
+
+@pytest.mark.parametrize("threads,n_tasks,cpus,expected", [
+    (None, 10, 4, 1),   # unset: no pool
+    (1, 10, 4, 1),
+    (3, 10, 4, 3),
+    (8, 10, 4, 4),      # never more processes than usable CPUs
+    (8, 2, 4, 2),       # never more processes than tasks
+    (10**6, 5, 2, 2),
+    (4, 0, 4, 0),
+])
+def test_worker_count_is_capped(threads, n_tasks, cpus, expected):
+    assert netcv.harness._worker_count(threads, n_tasks, cpus) == expected
+
+
+def test_tasks_keep_their_order_and_the_caller_runs_every_wth(monkeypatch):
+    monkeypatch.setattr(netcv.harness, "_usable_cpus", lambda: 3)
+    squares = netcv.harness._run_tasks(pow, [(i, 2) for i in range(7)], 3)
+    assert squares == [i * i for i in range(7)]
+    pids = netcv.harness._run_tasks(os.getpid, [()] * 6, 3)
+    assert [pid == os.getpid() for pid in pids] == [True, False, False] * 2
+
+
+@pytest.mark.parametrize("which,kw", [
+    ("sim2", dict(n=120, K=(2, 3), reps=2)),
+    ("sim3", dict(n=90, K=(2,), model=("sbm", "dcbm"), reps=2)),
+])
+def test_tables_do_not_depend_on_threads(which, kw, monkeypatch):
+    # three usable CPUs, so threads 2 and 3 run worker processes on any box
+    monkeypatch.setattr(netcv.harness, "_usable_cpus", lambda: 3)
+    texts = [run_experiment(small_spec(which=which, seed=7, threads=t, **kw)).csv_text()
+             for t in (1, 2, 3)]
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_replicate_error_reaches_the_caller(where, monkeypatch):
+    caller = os.getpid()
+    real = netcv.harness.ncv_select
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise ValueError(f"replicate failed in the {where}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(netcv.harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.harness, "ncv_select", failing)
+    # two tasks on two processes: the caller runs task 0, a worker task 1
+    with pytest.raises(ValueError, match=f"replicate failed in the {where}"):
+        run_sim1(small_spec(reps=2, threads=2))
 
 
 # ---------------------------------------------------------------- sim2

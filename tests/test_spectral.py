@@ -14,6 +14,7 @@ import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
 from netcv.spectral import (_alternate, _dist, _each_cluster, _means, _nearest,
+                            _newton_step,
                             _seed_centers, _weiszfeld, geometric_median, kmeans,
                             kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
@@ -279,6 +280,16 @@ def test_geometric_median_singleton_and_symmetric():
 def test_geometric_median_rejects_an_empty_set():
     with pytest.raises(ValueError, match="at least one point"):
         geometric_median(np.zeros((0, 2)))
+
+
+def test_newton_step_stops_on_a_singular_hessian():
+    # every point on one line through y: no curvature along that line
+    P = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    y = np.array([2.0, 0.0])
+    diff = y - P
+    y_new, _, _, reason = _newton_step(P, y, diff, _dist(diff), 1e-8)
+    assert reason == "singular"
+    assert np.array_equal(y_new, y)
 
 
 def test_geometric_median_collinear_matches_scan():
