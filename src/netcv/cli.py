@@ -54,7 +54,8 @@ def cmd_select(args):
     models = tuple(tok for tok in args.models.split(",") if tok)
     candidates = candidate_grid(models, args.kmax)
     seed = _resolve_seed(args)
-    report = ncv_select(A, candidates, V=args.folds, fn=args.loss, seed=seed)
+    report = ncv_select(A, candidates, V=args.folds, fn=args.loss, seed=seed,
+                        threads=args.threads)
     _write_text(report.to_json() + "\n", args.output)
     print(f"{'model':>6} {'K':>3} {'total loss':>14}", file=sys.stderr)
     for c, t in zip(report.candidates, report.totals):
@@ -134,8 +135,9 @@ def build_parser():
     ps.add_argument("--loss", default="nll", choices=["nll", "l2", "negloglik", "squared"])
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--threads", type=int, default=None,
-                    help="accepted and ignored; the cells of one select "
-                         "run in sequence")
+                    help="run the (candidate, fold) cells on up to this many "
+                         "processes (default: every usable CPU; 1: in "
+                         "sequence); the report does not depend on it")
     ps.add_argument("--output", default=None, help="JSON report path (default stdout)")
     ps.set_defaults(func=cmd_select)
 
@@ -173,8 +175,9 @@ def build_parser():
     pb.add_argument("--seed", type=int, default=None)
     pb.add_argument("--threads", type=int, default=None,
                     help="sim1/sim2/sim3: run up to this many replicates at "
-                         "once, in worker processes (never more than the usable "
-                         "CPUs); the table does not depend on it")
+                         "once, in processes (default: every usable CPU; 1: in "
+                         "sequence); the table does not depend on it.  polblogs "
+                         "ignores it and runs each select on every usable CPU")
     pb.add_argument("--out", default=None, help="CSV path (default stdout)")
     pb.add_argument("--json", default=None, help="also write the table as JSON here")
     pb.set_defaults(func=cmd_bench)

@@ -6,7 +6,10 @@ model-type + K selection) plus the political-blogs data run.  Every
 cell of a run is reproducible bit for bit from (spec, seed): per-rep
 generators are derived from the master seed and the cell parameters,
 never from global state, so the table is the same whether replicates
-run in sequence or spread over worker processes (``spec.threads``).
+run in sequence or spread over worker processes.  ``spec.threads``
+caps the processes (every usable CPU when None, in sequence when 1);
+each replicate's own select runs its cells in sequence, in the process
+that runs the replicate.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import csv
 import io
 import json
 import logging
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .graphs import load_edge_list, largest_connected_component
 from .models import sample, sim1_params, sim2_params, sim3_params
-from .ncv import candidate_grid, canonical_loss, ncv_select, repeat_ncv
+from .ncv import _run_tasks, candidate_grid, canonical_loss, ncv_select, repeat_ncv
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +50,7 @@ class ExperimentSpec:
     seed: int = 0
     loss: str = "negloglik"
     kmax_extra: int = 2           # candidates run over 1..K_true+kmax_extra
-    threads: int | None = None    # up to this many replicates at once, in processes
+    threads: int | None = None    # replicates at once, in processes; None: every usable CPU
 
     def __post_init__(self):
         if self.which not in _SIM_IDS:
@@ -120,50 +121,14 @@ def _select_rep(spec, candidates, sim, key, rep, params_of):
     rng = np.random.default_rng(_cell_seq(spec.seed, sim, *key, rep))
     A = sample(params_of(rng), rng)
     seed = int(rng.integers(2**63))
-    return ncv_select(A, candidates, V=spec.V, fn=spec.loss, seed=seed).selected
+    # threads=1: the pool spreads replicates, so their selects start no second pool
+    return ncv_select(A, candidates, V=spec.V, fn=spec.loss, seed=seed,
+                      threads=1).selected
 
 
 def _given(params, rng):
     """``params_of`` of a design whose parameters are fixed (sim1)."""
     return params
-
-
-def _worker_count(threads, n_tasks, cpus):
-    """Processes to run ``n_tasks`` tasks on: at most ``threads``, one
-    per task and one per usable CPU; 1 means no pool."""
-    return min(threads or 1, n_tasks, cpus)
-
-
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_tasks(fn, tasks, threads):
-    """``[fn(*t) for t in tasks]``, run on up to ``threads`` processes.
-
-    With w > 1 processes the caller runs tasks 0, w, 2w, ... itself and
-    w - 1 forked workers run the rest.  Workers are forked, not spawned,
-    because a spawned worker would import netcv again (most of a second);
-    where the platform cannot fork, the tasks run in sequence.  A task's
-    exception reaches the caller when its result is read.
-    """
-    w = _worker_count(threads, len(tasks), _usable_cpus())
-    if w <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(*t) for t in tasks]
-    results = [None] * len(tasks)
-    with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(fn, *t) for i, t in enumerate(tasks) if i % w}
-        try:
-            for i in range(0, len(tasks), w):
-                results[i] = fn(*tasks[i])
-            for i, future in futures.items():
-                results[i] = future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return results
 
 
 def _select_cells(spec, sim, cells):

@@ -10,8 +10,13 @@ and the one with the smallest summed loss wins.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -29,6 +34,14 @@ _LOSS_ALIASES = {"l2": "squared", "squared": "squared",
                  "nll": "negloglik", "negloglik": "negloglik"}
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
 _LOSS_BLOCK = 1 << 18  # entries of one row chunk of the degree-corrected held-out loss
+
+# Inputs of each select whose cells are running, by run key.  An entry is
+# set before the cell pool forks, so that workers inherit the adjacency,
+# the partition and the fold bases instead of unpickling them, and it is
+# removed when the cells are done.  The key keeps selects run from several
+# threads of one process apart.
+_RUNNING = {}
+_RUN_KEYS = itertools.count()
 
 
 def canonical_loss(name: str) -> str:
@@ -201,6 +214,59 @@ def _cell_rng(seed, candidate, v):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads, n_tasks, cpus):
+    """Processes to run ``n_tasks`` tasks on: at most ``threads`` (every
+    usable CPU when None), one per task and one per usable CPU; 1 means
+    no pool."""
+    return min(threads or cpus, n_tasks, cpus)
+
+
+def _run_tasks(fn, tasks, threads):
+    """``[fn(*t) for t in tasks]``, run on up to ``threads`` processes.
+
+    With w > 1 processes the caller runs tasks 0, w, 2w, ... itself and
+    w - 1 forked workers run the rest.  Workers are forked, not spawned,
+    because a spawned worker would import netcv again (most of a second)
+    and could not inherit the caller's inputs.  The tasks run in sequence
+    where the platform cannot fork, in a daemonic process (a
+    multiprocessing pool's worker, which may not start children), and
+    while other threads run (a child forked then can deadlock on a lock
+    another thread held).  A task's exception reaches the caller when its
+    result is read.
+    """
+    w = _worker_count(threads, len(tasks), _usable_cpus())
+    if (w <= 1 or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(*t) for t in tasks]
+    results = [None] * len(tasks)
+    with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(fn, *t) for i, t in enumerate(tasks) if i % w}
+        try:
+            for i in range(0, len(tasks), w):
+                results[i] = fn(*tasks[i])
+            for i, future in futures.items():
+                results[i] = future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
+
+
+def _cell_loss(key, candidate, v):
+    """Held-out loss of one (candidate, fold) cell of the running select
+    ``key`` (see ``_RUNNING``)."""
+    A, partition, bases, kind, seed = _RUNNING[key]
+    return fold_fit_validate(A, partition, v, candidate, kind,
+                             _cell_rng(seed, candidate, v), basis=bases[v])
+
+
 def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
                seed=None, threads: int | None = None) -> NcvReport:
     """Select (model type, K) by V-fold network cross-validation.
@@ -211,15 +277,21 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     integer seed (one is generated and recorded when omitted).  A may be
     dense or any SciPy sparse matrix; it is checked and converted to one
     CSR adjacency (``check_adjacency``), on which the whole select runs
-    in memory bounded by the edges plus one held-out block.  The
-    (candidate, fold) cells run in sequence; ``threads`` is accepted and
-    has no effect (``ExperimentSpec.threads`` runs whole replicates of a
-    simulation at once instead).
+    in memory bounded by the edges plus one held-out block.
+
+    The fold SVDs run in the calling process.  The (candidate, fold)
+    cells then run on up to ``threads`` processes (every usable CPU when
+    None, in sequence when 1): the caller and workers forked from it,
+    which inherit the adjacency, the partition and the fold bases.  Each
+    cell draws from its own seeded generator, so the report does not
+    depend on ``threads``.  ``threads`` below 1 is refused.
     """
-    return _select(check_adjacency(A), candidates, V, fn, seed)
+    if threads is not None and threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    return _select(check_adjacency(A), candidates, V, fn, seed, threads)
 
 
-def _select(A, candidates, V, fn, seed) -> NcvReport:
+def _select(A, candidates, V, fn, seed, threads=None) -> NcvReport:
     """``ncv_select`` on an adjacency already checked into CSR form."""
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -246,10 +318,21 @@ def _select(A, candidates, V, fn, seed) -> NcvReport:
             raise ValueError(f"K={kmax} exceeds fitting rows ({fit_rows.size})")
         bases.append(top_k_right_singular(_FitRows(A[fit_rows]), kmax))
 
-    fold_losses = [[fold_fit_validate(A, partition, v, cand, kind,
-                                      _cell_rng(seed, cand, v), basis=bases[v])
-                    for v in range(V)]
-                   for cand in candidates]
+    # costliest cells first (larger K, then the degree-corrected model), so
+    # that no process is left with a long cell while the others are idle
+    order = sorted(range(len(candidates)),
+                   key=lambda i: (-candidates[i].K, -_MODEL_ORDER[candidates[i].model]))
+    cells = [(i, v) for i in order for v in range(V)]
+    key = next(_RUN_KEYS)
+    _RUNNING[key] = (A, partition, bases, kind, seed)
+    try:
+        losses = _run_tasks(_cell_loss, [(key, candidates[i], v) for i, v in cells],
+                            threads)
+    finally:
+        del _RUNNING[key]
+    fold_losses = [[None] * V for _ in candidates]
+    for (i, v), cell_loss in zip(cells, losses):
+        fold_losses[i][v] = cell_loss
     totals = [float(sum(fl)) for fl in fold_losses]
     best = min(range(len(candidates)),
                key=lambda i: (totals[i], candidates[i].K,
@@ -268,9 +351,10 @@ class RepeatResult(NamedTuple):
 
 def repeat_ncv(A, candidates, V: int, fn: str, reps: int,
                master_seed) -> RepeatResult:
-    """Run ncv_select under `reps` independent node splittings, in
-    sequence, and tabulate how often each candidate is selected.  A is
-    checked and converted once, before the first rep."""
+    """Run ncv_select under `reps` independent node splittings, one after
+    another (each on every usable CPU), and tabulate how often each
+    candidate is selected.  A is checked and converted once, before the
+    first rep."""
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     rep_seeds = [int(s) for s in

@@ -197,6 +197,15 @@ def test_bench_rejects_threads_below_one(capsys):
     assert "need threads >= 1, got 0" in captured.err
 
 
+def test_select_rejects_threads_below_one(graph_file, capsys):
+    code = main(["select", "--input", graph_file, "--kmax", "2", "--seed", "1",
+                 "--threads", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need threads >= 1, got 0" in captured.err
+
+
 @pytest.mark.parametrize("k", ["0", ""])
 def test_bench_rejects_missing_or_zero_k(k, capsys):
     code = main(["bench", "sim1", "--n", "90", "--k", k, "--reps", "1",

@@ -110,7 +110,7 @@ def test_run_sim1_bitwise_reproducible():
 # ------------------------------------------------------ worker processes
 
 @pytest.mark.parametrize("threads,n_tasks,cpus,expected", [
-    (None, 10, 4, 1),   # unset: no pool
+    (None, 10, 4, 4),   # unset: every usable CPU
     (1, 10, 4, 1),
     (3, 10, 4, 3),
     (8, 10, 4, 4),      # never more processes than usable CPUs
@@ -119,14 +119,14 @@ def test_run_sim1_bitwise_reproducible():
     (4, 0, 4, 0),
 ])
 def test_worker_count_is_capped(threads, n_tasks, cpus, expected):
-    assert netcv.harness._worker_count(threads, n_tasks, cpus) == expected
+    assert netcv.ncv._worker_count(threads, n_tasks, cpus) == expected
 
 
 def test_tasks_keep_their_order_and_the_caller_runs_every_wth(monkeypatch):
-    monkeypatch.setattr(netcv.harness, "_usable_cpus", lambda: 3)
-    squares = netcv.harness._run_tasks(pow, [(i, 2) for i in range(7)], 3)
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
+    squares = netcv.ncv._run_tasks(pow, [(i, 2) for i in range(7)], 3)
     assert squares == [i * i for i in range(7)]
-    pids = netcv.harness._run_tasks(os.getpid, [()] * 6, 3)
+    pids = netcv.ncv._run_tasks(os.getpid, [()] * 6, None)
     assert [pid == os.getpid() for pid in pids] == [True, False, False] * 2
 
 
@@ -135,11 +135,11 @@ def test_tasks_keep_their_order_and_the_caller_runs_every_wth(monkeypatch):
     ("sim3", dict(n=90, K=(2,), model=("sbm", "dcbm"), reps=2)),
 ])
 def test_tables_do_not_depend_on_threads(which, kw, monkeypatch):
-    # three usable CPUs, so threads 2 and 3 run worker processes on any box
-    monkeypatch.setattr(netcv.harness, "_usable_cpus", lambda: 3)
+    # three usable CPUs, so threads 2, 3 and None run worker processes on any box
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
     texts = [run_experiment(small_spec(which=which, seed=7, threads=t, **kw)).csv_text()
-             for t in (1, 2, 3)]
-    assert texts[0] == texts[1] == texts[2]
+             for t in (1, 2, 3, None)]
+    assert texts[0] == texts[1] == texts[2] == texts[3]
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
@@ -152,11 +152,25 @@ def test_replicate_error_reaches_the_caller(where, monkeypatch):
             raise ValueError(f"replicate failed in the {where}")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(netcv.harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(netcv.harness, "ncv_select", failing)
     # two tasks on two processes: the caller runs task 0, a worker task 1
     with pytest.raises(ValueError, match=f"replicate failed in the {where}"):
         run_sim1(small_spec(reps=2, threads=2))
+
+
+def test_replicates_run_their_selects_in_sequence(monkeypatch):
+    threads = []
+    real = netcv.harness.ncv_select
+
+    def spy(*args, **kwargs):
+        threads.append(kwargs.get("threads"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(netcv.harness, "ncv_select", spy)
+    # replicates in one process, so the spy's list is the caller's own
+    run_sim1(small_spec(reps=2, threads=1))
+    assert threads == [1, 1]
 
 
 # ---------------------------------------------------------------- sim2

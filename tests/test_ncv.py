@@ -1,7 +1,13 @@
 """Cross-validation core: fold losses, selection, reports, reproducibility."""
 
+import gc
 import json
+import multiprocessing
+import os
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,6 +15,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+import netcv.ncv
 from netcv.graphs import check_adjacency, partition_nodes
 from netcv.models import SbmParams, sample, sim1_params
 from netcv.ncv import (Candidate, candidate_grid, canonical_loss,
@@ -267,13 +274,78 @@ def test_ncv_select_json_schema():
     assert set(blob["selected"]) == {"model", "K"}
 
 
-def test_ncv_select_deterministic_and_thread_invariant():
+def test_ncv_select_deterministic_and_thread_invariant(monkeypatch):
+    # three usable CPUs, so threads 2, 3 and None run worker processes on any box
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
     A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
     cands = candidate_grid(("sbm", "dcbm"), 3)
-    r1 = ncv_select(A, cands, V=3, fn="nll", seed=5)
-    r2 = ncv_select(A, cands, V=3, fn="nll", seed=5)
-    r4 = ncv_select(A, cands, V=3, fn="nll", seed=5, threads=4)
-    assert r1.to_json() == r2.to_json() == r4.to_json()
+    texts = [ncv_select(A, cands, V=3, fn="nll", seed=5, threads=t).to_json()
+             for t in (1, 1, 2, 3, None)]
+    assert len(set(texts)) == 1
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_cell_error_reaches_the_caller(where, monkeypatch):
+    caller = os.getpid()
+    real = netcv.ncv.fold_fit_validate
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise ValueError(f"cell failed in the {where}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.ncv, "fold_fit_validate", failing)
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    # two cells on two processes: the caller runs cell 0, a worker cell 1
+    with pytest.raises(ValueError, match=f"cell failed in the {where}"):
+        ncv_select(A, [("sbm", 2)], V=2, seed=0, threads=2)
+    assert netcv.ncv._RUNNING == {}
+
+
+def test_ncv_select_keeps_no_reference_to_its_input(monkeypatch):
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
+    A = check_adjacency(planted_A(60, p_in=0.8, p_out=0.1, seed=12)[0])
+    assert check_adjacency(A) is A  # canonical: the select runs on A itself
+    ref = weakref.ref(A)
+    ncv_select(A, candidate_grid(("sbm", "dcbm"), 2), V=3, seed=0)
+    del A
+    gc.collect()
+    assert ref() is None
+
+
+def test_concurrent_selects_in_threads_keep_their_own_inputs(monkeypatch):
+    graphs = [planted_A(60, p_in=0.8, p_out=0.1, seed=s)[0] for s in (12, 13)]
+    cands = candidate_grid(("sbm", "dcbm"), 2)
+    expected = [_select_json(A, cands, 5, threads=1) for A in graphs]
+    # with other threads running no pool may fork, whatever the CPU count
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(netcv.ncv, "ProcessPoolExecutor", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(_select_json, A, cands, 5)
+                       for A in graphs * 4]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 4
+
+
+def _select_json(A, candidates, seed, threads=None):
+    return ncv_select(A, candidates, V=3, seed=seed, threads=threads).to_json()
+
+
+def test_select_in_a_daemonic_process_runs_in_sequence(monkeypatch):
+    # a pool's worker is daemonic and may not start children; the patch
+    # reaches it through the fork, so without the fallback it would try
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    cands = candidate_grid(("sbm", "dcbm"), 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        text = pool.apply_async(_select_json, (A, cands, 5)).get(timeout=120)
+    assert text == _select_json(A, cands, 5)
 
 
 @pytest.mark.parametrize("sparse_type", ["csr_array", "csr_matrix"])
@@ -354,6 +426,8 @@ def test_ncv_select_validates_inputs():
         ncv_select(A, [("sbm", 0)], V=3, seed=0)
     with pytest.raises(ValueError):
         ncv_select(A, [("sbm", 19)], V=2, seed=0)  # K exceeds fitting rows
+    with pytest.raises(ValueError, match="need threads >= 1, got 0"):
+        ncv_select(A, [("sbm", 2)], V=3, seed=0, threads=0)
 
 
 def test_testing_pair_fraction_near_one_over_V():
