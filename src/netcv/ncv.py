@@ -10,6 +10,7 @@ and the one with the smallest summed loss wins.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -35,11 +36,11 @@ _LOSS_ALIASES = {"l2": "squared", "squared": "squared",
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
 _LOSS_BLOCK = 1 << 18  # entries of one row chunk of the degree-corrected held-out loss
 
-# Inputs of each select whose cells are running, by run key.  An entry is
-# set before the cell pool forks, so that workers inherit the adjacency,
-# the partition and the fold bases instead of unpickling them, and it is
-# removed when the cells are done.  The key keeps selects run from several
-# threads of one process apart.
+# Inputs of each running select, by run key: (A, partition, kmax, kind,
+# seed).  An entry is set before the select's workers fork, so that they
+# inherit the adjacency and the partition instead of unpickling them, and
+# it is removed when the cells are done.  The key keeps selects run from
+# several threads of one process apart.
 _RUNNING = {}
 _RUN_KEYS = itertools.count()
 
@@ -227,44 +228,106 @@ def _worker_count(threads, n_tasks, cpus):
     return min(threads or cpus, n_tasks, cpus)
 
 
-def _run_tasks(fn, tasks, threads):
-    """``[fn(*t) for t in tasks]``, run on up to ``threads`` processes.
+@contextlib.contextmanager
+def _processes(threads, n_tasks):
+    """Yield ``run(fn, tasks)``, which returns ``[fn(*t) for t in tasks]``
+    computed on up to ``threads`` processes; ``n_tasks`` is the length of
+    the longest list the caller will run.
 
-    With w > 1 processes the caller runs tasks 0, w, 2w, ... itself and
-    w - 1 forked workers run the rest.  Workers are forked, not spawned,
+    With w > 1 processes the caller and w - 1 workers forked from it at
+    the first ``run`` share one counter of claimed tasks
+    (``_claim_tasks``): each takes the next task in order whenever it is
+    free, so no process idles while a task is left and costliest-first
+    lists end on the cheap tasks.  Workers are forked, not spawned,
     because a spawned worker would import netcv again (most of a second)
-    and could not inherit the caller's inputs.  The tasks run in sequence
-    where the platform cannot fork, in a daemonic process (a
-    multiprocessing pool's worker, which may not start children), and
-    while other threads run (a child forked then can deadlock on a lock
-    another thread held).  A task's exception reaches the caller when its
-    result is read.
+    and could not inherit the caller's inputs or the counter; what a
+    worker needs that did not exist at the fork must travel in the task.
+    The tasks run in sequence where the platform cannot fork, in a
+    daemonic process (a multiprocessing pool's worker, which may not start
+    children), and while other threads run (a child forked then can
+    deadlock on a lock another thread held).  A task's exception stops
+    every process from claiming more and reaches the caller.
     """
-    w = _worker_count(threads, len(tasks), _usable_cpus())
+    w = _worker_count(threads, n_tasks, _usable_cpus())
     if (w <= 1 or multiprocessing.current_process().daemon
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return [fn(*t) for t in tasks]
-    results = [None] * len(tasks)
-    with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(fn, *t) for i, t in enumerate(tasks) if i % w}
+        yield lambda fn, tasks: [fn(*t) for t in tasks]
+        return
+    ctx = multiprocessing.get_context("fork")
+    claimed = ctx.Value("q", 0)
+    with ProcessPoolExecutor(w - 1, mp_context=ctx, initializer=_share_claims,
+                             initargs=(claimed,)) as pool:
+
+        def run(fn, tasks):
+            with claimed.get_lock():
+                claimed.value = 0
+            futures = [pool.submit(_claim_tasks, fn, tasks) for _ in range(w - 1)]
+            try:
+                results = _claim_tasks(fn, tasks, claimed)
+                for future in futures:
+                    results.update(future.result())
+            except BaseException:  # a worker's error, or an interrupt while waiting
+                with claimed.get_lock():
+                    claimed.value = len(tasks)
+                raise
+            return [results[i] for i in range(len(tasks))]
+
+        yield run
+
+
+def _run_tasks(fn, tasks, threads):
+    """``[fn(*t) for t in tasks]``, run on up to ``threads`` processes
+    (see ``_processes``)."""
+    with _processes(threads, len(tasks)) as run:
+        return run(fn, tasks)
+
+
+# In a worker process of ``_processes``: the count of the running task
+# list's claimed tasks, shared with the caller and the other workers.
+_CLAIMED = None
+
+
+def _share_claims(claimed):
+    global _CLAIMED
+    _CLAIMED = claimed
+
+
+def _claim_tasks(fn, tasks, claimed=None):
+    """Run ``fn(*tasks[i])`` for each index i claimed from the shared
+    counter (a worker's own ``_CLAIMED`` when None) until none is left;
+    returns the results by index.  On an exception it marks every task
+    claimed, so that the other processes stop after their current task."""
+    claimed = _CLAIMED if claimed is None else claimed
+    done = {}
+    while True:
+        with claimed.get_lock():
+            i = claimed.value
+            claimed.value = i + 1
+        if i >= len(tasks):
+            return done
         try:
-            for i in range(0, len(tasks), w):
-                results[i] = fn(*tasks[i])
-            for i, future in futures.items():
-                results[i] = future.result()
+            done[i] = fn(*tasks[i])
         except BaseException:
-            pool.shutdown(cancel_futures=True)
+            with claimed.get_lock():
+                claimed.value = len(tasks)
             raise
-    return results
 
 
-def _cell_loss(key, candidate, v):
+def _fold_basis(key, v):
+    """Fold SVD of the running select ``key`` (see ``_RUNNING``): the
+    top-kmax right singular basis of the rows outside fold v."""
+    A, partition, kmax, _, _ = _RUNNING[key]
+    fit_rows = np.setdiff1d(np.arange(A.shape[0]), partition[v])
+    return top_k_right_singular(_FitRows(A[fit_rows]), kmax)
+
+
+def _cell_loss(key, candidate, v, basis):
     """Held-out loss of one (candidate, fold) cell of the running select
-    ``key`` (see ``_RUNNING``)."""
-    A, partition, bases, kind, seed = _RUNNING[key]
+    ``key`` (see ``_RUNNING``), given the fold's basis."""
+    A, partition, _, kind, seed = _RUNNING[key]
     return fold_fit_validate(A, partition, v, candidate, kind,
-                             _cell_rng(seed, candidate, v), basis=bases[v])
+                             _cell_rng(seed, candidate, v), basis=basis)
 
 
 def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
@@ -279,12 +342,14 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     CSR adjacency (``check_adjacency``), on which the whole select runs
     in memory bounded by the edges plus one held-out block.
 
-    The fold SVDs run in the calling process.  The (candidate, fold)
-    cells then run on up to ``threads`` processes (every usable CPU when
-    None, in sequence when 1): the caller and workers forked from it,
-    which inherit the adjacency, the partition and the fold bases.  Each
-    cell draws from its own seeded generator, so the report does not
-    depend on ``threads``.  ``threads`` below 1 is refused.
+    The V fold SVDs, then the (candidate, fold) cells, run on up to
+    ``threads`` processes (every usable CPU when None, in sequence when
+    1): the caller and workers forked from it once, which inherit the
+    adjacency and the partition and are sent the fold bases; each process
+    takes the next task whenever it is free.  Each cell draws from its
+    own seeded generator, so the report does not depend on ``threads``.
+    ``threads`` below 1 is refused, and so is a fold of fewer than 2
+    nodes or a K above a fold's fitting rows, before any SVD runs.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
@@ -309,25 +374,29 @@ def _select(A, candidates, V, fn, seed, threads=None) -> NcvReport:
     part_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     partition = partition_nodes(n, V, part_rng)
 
-    # one decomposition per fold, shared by every candidate
     kmax = max(c.K for c in candidates)
-    bases = []
-    for Nv in partition:
-        fit_rows = np.setdiff1d(np.arange(n), Nv)
-        if kmax > fit_rows.size:
-            raise ValueError(f"K={kmax} exceeds fitting rows ({fit_rows.size})")
-        bases.append(top_k_right_singular(_FitRows(A[fit_rows]), kmax))
+    for v, Nv in enumerate(partition):
+        if Nv.size < 2:
+            raise ValueError(f"fold {v} has {Nv.size} node(s); need at least 2")
+        if kmax > n - Nv.size:
+            raise ValueError(f"K={kmax} exceeds fitting rows ({n - Nv.size})")
 
     # costliest cells first (larger K, then the degree-corrected model), so
-    # that no process is left with a long cell while the others are idle
+    # that the processes end on the cheap cells
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].K, -_MODEL_ORDER[candidates[i].model]))
     cells = [(i, v) for i in order for v in range(V)]
     key = next(_RUN_KEYS)
-    _RUNNING[key] = (A, partition, bases, kind, seed)
+    _RUNNING[key] = (A, partition, kmax, kind, seed)
     try:
-        losses = _run_tasks(_cell_loss, [(key, candidates[i], v) for i, v in cells],
-                            threads)
+        with _processes(threads, len(cells)) as run:
+            # one decomposition per fold, shared by every candidate; the
+            # workers forked before the bases existed, so each cell task
+            # carries its fold's (a task list is pickled once per worker,
+            # and pickling stores an object shared by tasks once)
+            bases = run(_fold_basis, [(key, v) for v in range(V)])
+            losses = run(_cell_loss, [(key, candidates[i], v, bases[v])
+                                      for i, v in cells])
     finally:
         del _RUNNING[key]
     fold_losses = [[None] * V for _ in candidates]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -122,12 +123,45 @@ def test_worker_count_is_capped(threads, n_tasks, cpus, expected):
     assert netcv.ncv._worker_count(threads, n_tasks, cpus) == expected
 
 
-def test_tasks_keep_their_order_and_the_caller_runs_every_wth(monkeypatch):
+def _marked_task(marks, busy_in_caller, caller, i, n):
+    """Task i of n; returns the pid that ran it.  The first task that the
+    busy process (the caller or the one worker) runs waits until every
+    later task is done; the other process's tasks wait until the busy
+    process has started one.  Each wait gives up after 30 s."""
+    busy = (os.getpid() == caller) == busy_in_caller
+    if busy and not (marks / "busy").exists():
+        (marks / "busy").touch()
+        wait_for = [marks / f"done{j}" for j in range(i + 1, n)]
+    else:
+        wait_for = [] if busy else [marks / "busy"]
+    deadline = time.monotonic() + 30
+    while not all(path.exists() for path in wait_for):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"task {i} waited 30 s for {wait_for}")
+        time.sleep(0.002)
+    (marks / f"done{i}").touch()
+    return os.getpid()
+
+
+def test_tasks_keep_their_order(monkeypatch):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
     squares = netcv.ncv._run_tasks(pow, [(i, 2) for i in range(7)], 3)
     assert squares == [i * i for i in range(7)]
-    pids = netcv.ncv._run_tasks(os.getpid, [()] * 6, None)
-    assert [pid == os.getpid() for pid in pids] == [True, False, False] * 2
+
+
+@pytest.mark.parametrize("busy", ["caller", "worker"])
+def test_a_free_process_takes_every_task_left_while_the_other_is_busy(
+        busy, tmp_path, monkeypatch):
+    # a deal fixed in advance, or a worker holding tasks ahead of the one
+    # it runs, leaves the busy process tasks that it waits for itself
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    n = 8
+    tasks = [(tmp_path, busy == "caller", os.getpid(), i, n) for i in range(n)]
+    pids = netcv.ncv._run_tasks(_marked_task, tasks, 2)
+    in_busy = [(pid == os.getpid()) == (busy == "caller") for pid in pids]
+    waited = in_busy.index(True)
+    assert waited <= 1 and not any(in_busy[waited + 1:])
+    assert len(set(pids)) == 2
 
 
 @pytest.mark.parametrize("which,kw", [
@@ -143,18 +177,10 @@ def test_tables_do_not_depend_on_threads(which, kw, monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
-def test_replicate_error_reaches_the_caller(where, monkeypatch):
-    caller = os.getpid()
-    real = netcv.harness.ncv_select
-
-    def failing(*args, **kwargs):
-        if (os.getpid() == caller) == (where == "caller"):
-            raise ValueError(f"replicate failed in the {where}")
-        return real(*args, **kwargs)
-
+def test_replicate_error_reaches_the_caller(where, monkeypatch, failing_in):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(netcv.harness, "ncv_select", failing)
-    # two tasks on two processes: the caller runs task 0, a worker task 1
+    monkeypatch.setattr(netcv.harness, "ncv_select",
+                        failing_in(netcv.harness.ncv_select, where, "replicate"))
     with pytest.raises(ValueError, match=f"replicate failed in the {where}"):
         run_sim1(small_spec(reps=2, threads=2))
 

@@ -285,22 +285,67 @@ def test_ncv_select_deterministic_and_thread_invariant(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
-def test_cell_error_reaches_the_caller(where, monkeypatch):
-    caller = os.getpid()
-    real = netcv.ncv.fold_fit_validate
-
-    def failing(*args, **kwargs):
-        if (os.getpid() == caller) == (where == "caller"):
-            raise ValueError(f"cell failed in the {where}")
-        return real(*args, **kwargs)
-
+def test_cell_error_reaches_the_caller(where, monkeypatch, failing_in):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(netcv.ncv, "fold_fit_validate", failing)
+    monkeypatch.setattr(netcv.ncv, "fold_fit_validate",
+                        failing_in(netcv.ncv.fold_fit_validate, where, "cell"))
     A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
-    # two cells on two processes: the caller runs cell 0, a worker cell 1
     with pytest.raises(ValueError, match=f"cell failed in the {where}"):
         ncv_select(A, [("sbm", 2)], V=2, seed=0, threads=2)
     assert netcv.ncv._RUNNING == {}
+
+
+def test_fold_svd_error_reaches_the_caller(monkeypatch, failing_in):
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.ncv, "top_k_right_singular",
+                        failing_in(netcv.ncv.top_k_right_singular, "worker", "fold SVD"))
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    with pytest.raises(ValueError, match="fold SVD failed in the worker"):
+        ncv_select(A, [("sbm", 2)], V=3, seed=0)
+    assert netcv.ncv._RUNNING == {}
+
+
+def test_fold_svds_and_cells_both_run_on_two_processes(tmp_path, monkeypatch):
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    cands = candidate_grid(("sbm", "dcbm"), 2)
+    expected = _select_json(A, cands, 5, threads=1)
+    caller = os.getpid()
+    log = tmp_path / "pids"
+    ctx = multiprocessing.get_context("fork")
+    started = {"svd": ctx.Event(), "cell": ctx.Event()}
+
+    def spy(phase, real):
+        # the caller's calls wait (up to 30 s) until a worker has run one of
+        # the phase's tasks, so that both processes run some of them
+        def run(*args, **kwargs):
+            if os.getpid() != caller or not started[phase].wait(30):
+                started[phase].set()
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{phase} {os.getpid()}\n")
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.ncv, "top_k_right_singular",
+                        spy("svd", netcv.ncv.top_k_right_singular))
+    monkeypatch.setattr(netcv.ncv, "fold_fit_validate",
+                        spy("cell", netcv.ncv.fold_fit_validate))
+    assert _select_json(A, cands, 5) == expected
+    runs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert len(runs) == 3 + 3 * len(cands)
+    for phase in ("svd", "cell"):
+        pids = {int(pid) for p, pid in runs if p == phase}
+        assert caller in pids and len(pids) == 2
+
+
+def test_small_fold_is_refused_before_any_svd_or_fork(monkeypatch):
+    # a pool or an SVD would fail with a TypeError, not the fold's message
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.ncv, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(netcv.ncv, "top_k_right_singular", None)
+    A = np.ones((5, 5)) - np.eye(5)
+    with pytest.raises(ValueError, match=r"fold 2 has 1 node\(s\); need at least 2"):
+        ncv_select(A, [("sbm", 1)], V=3, seed=0)
 
 
 def test_ncv_select_keeps_no_reference_to_its_input(monkeypatch):
