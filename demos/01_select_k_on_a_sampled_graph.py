@@ -18,7 +18,7 @@ g = np.repeat([1, 2, 3], n // K)
 B = 0.2 * (np.ones((K, K)) + 2 * np.eye(K))
 A = sample(SbmParams(g=g, k=K, B=B), np.random.default_rng(7))
 
-print(f"sampled graph: n={n}, edges={int(A.sum()) // 2}")
+print(f"sampled graph: n={n}, edges={A.nnz // 2}")
 
 # candidates are (model, K) pairs; here SBM only, K from 1 to 5
 cands = candidate_grid(["sbm"], 5)

@@ -91,7 +91,7 @@ def cmd_simulate(args):
     with open(labels_path, "w") as fh:
         for i, gi in enumerate(g):
             fh.write(f"{i} {gi}\n")
-    n_edges = int(A.sum()) // 2
+    n_edges = A.nnz // 2
     print(f"wrote {n} nodes, {n_edges} edges to {args.output}; "
           f"labels in {labels_path}; seed {seed}", file=sys.stderr)
     return 0

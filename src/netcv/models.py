@@ -7,6 +7,14 @@ multiplies that probability by a per-node activeness factor psi
 (block-wise max of psi fixed to 1 for identifiability; the plain model
 is the special case psi = 1).
 
+``sample`` draws a graph straight into the canonical float CSR array
+that ``netcv.graphs.check_adjacency`` passes through as is.  It draws
+one uniform per node pair i < j in row-major order, one block of rows
+at a time, so memory is O(edges + one block); the draws are those of
+one ``rng.random`` call over the whole upper triangle of
+``expected_P``, which is the n x n population matrix and is built
+only on request.
+
 Also provides the parameter constructors used by the three scripted
 experiment designs in :mod:`netcv.harness`.
 """
@@ -16,10 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .graphs import check_membership
 
 _PSI_TOL = 1e-8
+# most node pairs whose uniforms ``sample`` draws at once (one row may hold more)
+_BLOCK_PAIRS = 1 << 16
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -105,18 +116,67 @@ def expected_P(params) -> np.ndarray:
     return P
 
 
-def sample(params, rng: np.random.Generator) -> np.ndarray:
+def _max_probability(params) -> float:
+    """Largest entry of ``expected_P(params)``, diagonal included, in O(n + k^2).
+
+    Rounding is monotone, so over the pairs of blocks a and b the largest
+    ``B_ab * (psi_i * psi_j)`` is ``B_ab * (m_a * m_b)``, where m_a is the
+    largest psi in block a; the pair (i, i) makes this hold for a = b too.
+    """
+    present = np.flatnonzero(np.bincount(params.g - 1, minlength=params.k))
+    B = params.B[np.ix_(present, present)]
+    if isinstance(params, DcbmParams):
+        m = np.zeros(params.k)
+        np.maximum.at(m, params.g - 1, params.psi)
+        B = B * np.outer(m[present], m[present])
+    return float(B.max())
+
+
+def sample(params, rng: np.random.Generator) -> csr_array:
     """Draw an adjacency matrix: independent Bernoulli edges for i < j,
-    mirrored to j > i, zero diagonal.  Deterministic given the generator."""
-    P = expected_P(params)
-    if P.min() < 0.0 or P.max() > 1.0:
+    mirrored to j > i, zero diagonal.  Deterministic given the generator.
+
+    Returns the canonical float CSR array that ``check_adjacency`` passes
+    through as is.  The draws, the graph and the generator's final state
+    are those of one ``rng.random`` call against the upper triangle of
+    ``expected_P``, but memory is O(edges + one block), never n x n.
+    """
+    if _max_probability(params) > 1.0:
         raise ValueError("edge probabilities outside [0, 1] (psi_i psi_j B > 1?)")
+    U = _upper_triangle(params, rng)
+    return U + U.T
+
+
+def _upper_triangle(params, rng: np.random.Generator) -> csr_array:
+    """Edges i < j of one draw, as CSR.
+
+    The pairs are drawn in row-major order, one block of whole rows at a
+    time (at most ``_BLOCK_PAIRS`` pairs, or one longer row), and edge
+    (i, j) is drawn where its uniform falls below
+    ``B[g_i, g_j] * (psi_i * psi_j)``, the product ``expected_P`` forms.
+    """
     n = params.n
-    iu = np.triu_indices(n, k=1)
-    A = np.zeros((n, n), dtype=np.int8)
-    A[iu] = rng.random(iu[0].size) < P[iu]
-    A += A.T
-    return A
+    g = params.g - 1
+    psi = params.psi if isinstance(params, DcbmParams) else None
+    ends = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # ends[r]: pairs in rows < r
+    counts = np.zeros(n, dtype=np.int64)
+    hit_cols = [np.empty(0, dtype=np.int32)]
+    start = 0
+    while start < n - 1:
+        stop = max(int(np.searchsorted(ends, ends[start] + _BLOCK_PAIRS, "right")) - 1,
+                   start + 1)
+        rows = np.repeat(np.arange(start, stop), np.arange(n - 1 - start, n - 1 - stop, -1))
+        cols = np.arange(ends[start], ends[stop]) - ends[rows] + rows + 1
+        P = params.B[g[rows], g[cols]]
+        if psi is not None:
+            P = P * (psi[rows] * psi[cols])
+        hits = np.flatnonzero(rng.random(rows.size) < P)
+        counts[start:stop] = np.bincount(rows[hits] - start, minlength=stop - start)
+        hit_cols.append(cols[hits].astype(np.int32))
+        start = stop
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return csr_array((np.ones(int(indptr[-1])), np.concatenate(hit_cols), indptr),
+                     shape=(n, n))
 
 
 def _multinomial_membership(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

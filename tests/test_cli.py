@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, seeding."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -33,6 +34,24 @@ def test_simulate_writes_graph_and_labels(tmp_path, capsys):
     assert len(labels) == 50
     assert labels[0] == "0 1"
     assert labels[-1] == "49 2"
+
+
+# sha256 of the files `netcv simulate MODEL --n 600 --k 3 --b-diag 0.3
+# --b-off 0.05 --seed 42` wrote when the sampler built a dense n x n array
+@pytest.mark.parametrize("model, edges, edges_sha256", [
+    ("sbm", 24009, "05b4ddfecb7f59ebcdb2754d6e6d2e9a1f030547ef1870dfba5d28ff54d2c08d"),
+    ("dcbm", 8661, "02bbe8aa245d6fa3787eeef74287da0f0c11faa06eb9eee40de7561477736fcb"),
+])
+def test_simulate_output_is_pinned(tmp_path, capsys, model, edges, edges_sha256):
+    out = tmp_path / "edges.txt"
+    code = main(["simulate", model, "--n", "600", "--k", "3", "--b-diag", "0.3",
+                 "--b-off", "0.05", "--seed", "42", "--output", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == edges_sha256
+    labels = (tmp_path / "edges.txt.labels").read_bytes()
+    assert hashlib.sha256(labels).hexdigest() == (
+        "d258bc66b7c527ea4275938548c599ac208f2095efbbea391db46036e0755280")
+    assert f"wrote 600 nodes, {edges} edges" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_probability(tmp_path, capsys):

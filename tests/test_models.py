@@ -1,8 +1,14 @@
 """Block-model parameter containers, samplers and simulation presets."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import netcv.models
+from netcv.graphs import check_adjacency
 from netcv.models import (DcbmParams, SbmParams, expected_P, normalize_activeness,
                           sample, sim1_params, sim2_params, sim3_params,
                           sim2_sigma_threshold, _multinomial_membership)
@@ -84,7 +90,7 @@ def test_expected_P_dcbm_entries():
 
 def test_sample_is_symmetric_hollow_binary():
     p = two_block_params()
-    A = sample(p, np.random.default_rng(0))
+    A = sample(p, np.random.default_rng(0)).toarray()
     assert np.array_equal(A, A.T)
     assert np.all(np.diag(A) == 0)
     assert set(np.unique(A)) <= {0, 1}
@@ -92,8 +98,8 @@ def test_sample_is_symmetric_hollow_binary():
 
 def test_sample_deterministic():
     p = two_block_params()
-    A = sample(p, np.random.default_rng(42))
-    B = sample(p, np.random.default_rng(42))
+    A = sample(p, np.random.default_rng(42)).toarray()
+    B = sample(p, np.random.default_rng(42)).toarray()
     assert np.array_equal(A, B)
 
 
@@ -118,12 +124,109 @@ def test_sample_respects_block_probabilities():
     g = np.repeat([1, 2], n // 2)
     B = np.array([[0.7, 0.05], [0.05, 0.3]])
     p = SbmParams(g=g, k=2, B=B)
-    A = sample(p, np.random.default_rng(3))
+    A = sample(p, np.random.default_rng(3)).toarray()
     blk1 = A[:200, :200][np.triu_indices(200, 1)].mean()
     cross = A[:200, 200:].mean()
     # 4 sigma of the block means
     assert abs(blk1 - 0.7) <= 4 * np.sqrt(0.7 * 0.3 / (199 * 100))
     assert abs(cross - 0.05) <= 4 * np.sqrt(0.05 * 0.95 / 200**2)
+
+
+def dense_sample(params, rng):
+    """Reference sampler: the dense n x n form ``sample`` replaced, which
+    draws one uniform per upper-triangle pair in a single call."""
+    P = expected_P(params)
+    if P.min() < 0.0 or P.max() > 1.0:
+        raise ValueError("edge probabilities outside [0, 1] (psi_i psi_j B > 1?)")
+    n = params.n
+    iu = np.triu_indices(n, k=1)
+    A = np.zeros((n, n), dtype=np.int8)
+    A[iu] = rng.random(iu[0].size) < P[iu]
+    A += A.T
+    return A
+
+
+@st.composite
+def block_models(draw):
+    """SBM (possibly with an empty block) or DCBM parameters, with entries
+    of B at 0 or 1 and a block maximum of psi just above 1 (inside the
+    tolerance of ``DcbmParams``), which can push B_ab psi_i psi_j past 1."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, min(n, 4)))
+    g = np.array(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    entries = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    B = np.zeros((k, k))
+    B[np.triu_indices(k)] = draw(st.lists(entries, min_size=k * (k + 1) // 2,
+                                          max_size=k * (k + 1) // 2))
+    B = np.triu(B) + np.triu(B, 1).T
+    if not draw(st.booleans()):
+        return SbmParams(g=g, k=k, B=B)
+    g[:k] = np.arange(1, k + 1)  # psi needs every block filled
+    psi = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    psi = normalize_activeness(psi, g, k)
+    top = np.flatnonzero(psi == 1.0)  # every block's maximum
+    psi[top[draw(st.integers(0, top.size - 1))]] = draw(st.sampled_from([1.0, 1.0 + 5e-9]))
+    return DcbmParams(g=g, k=k, B=B, psi=psi)
+
+
+def assert_sample_matches_dense(params, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = dense_sample(params, ref_rng)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            sample(params, rng)
+    else:
+        assert np.array_equal(sample(params, rng).toarray(), expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@given(params=block_models(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sample_equals_dense_reference(block, params, seed):
+    # small blocks make small graphs span many blocks, and rows longer
+    # than a block take one block each
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcv.models, "_BLOCK_PAIRS", block)
+        assert_sample_matches_dense(params, seed)
+
+
+@pytest.mark.parametrize("model", ["sbm", "dcbm"])
+def test_sample_equals_dense_reference_on_sim3(model):
+    # a graph of 80,200 pairs: two blocks at the default block size
+    rng = np.random.default_rng(17)
+    assert_sample_matches_dense(sim3_params(401, 3, model, rng), 18)
+
+
+def test_sample_rejects_a_probability_above_one_on_the_diagonal_only():
+    g = np.array([1, 2])
+    B = np.array([[1.0, 0.5], [0.5, 1.0]])
+    p = DcbmParams(g=g, k=2, B=B, psi=np.array([1.0 + 5e-9, 1.0]))
+    P = expected_P(p)
+    assert P[0, 1] <= 1.0 and P[0, 0] > 1.0
+    assert_sample_matches_dense(p, 0)
+    with pytest.raises(ValueError, match="outside"):
+        sample(p, np.random.default_rng(0))
+
+
+def test_sample_returns_the_canonical_csr_adjacency():
+    A = sample(sim3_params(300, 3, "dcbm", np.random.default_rng(4)),
+               np.random.default_rng(5))
+    assert check_adjacency(A) is A
+
+
+def test_sample_memory_is_bounded_by_edges():
+    # the dense sampler peaked at 97 MiB here: 25.5 bytes per n^2
+    p = sim1_params(2000, 3, 666, 0.05)
+    tracemalloc.start()
+    try:
+        A = sample(p, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert 150_000 < A.nnz // 2 < 180_000
 
 
 # ---------------------------------------------------------------- helpers

@@ -25,7 +25,7 @@ from netcv.ncv import (Candidate, candidate_grid, canonical_loss,
 def planted_A(n=120, seed=0, p_in=1.0, p_out=0.0):
     g = np.repeat([1, 2], n // 2)
     B = np.array([[p_in, p_out], [p_out, p_in]])
-    return sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(seed)), g
+    return sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(seed)).toarray(), g
 
 
 # ---------------------------------------------------------------- loss
@@ -120,7 +120,7 @@ def test_fold_loss_bitwise_equals_full_matrix_formula(kind, monkeypatch):
     from netcv.spectral import top_k_right_singular
 
     rng = np.random.default_rng(21)
-    A = sample(sim3_params(150, 3, "dcbm", rng), rng)
+    A = sample(sim3_params(150, 3, "dcbm", rng), rng).toarray()
     partition = partition_nodes(150, 3, np.random.default_rng(22))
     for v, Nv in enumerate(partition):
         basis = top_k_right_singular(A[np.setdiff1d(np.arange(150), Nv), :], 3)
@@ -197,7 +197,7 @@ def test_fold_rejects_a_basis_narrower_than_k(model):
     from netcv.spectral import top_k_right_singular
 
     rng = np.random.default_rng(31)
-    A = sample(sim3_params(120, 3, model, rng), rng)
+    A = sample(sim3_params(120, 3, model, rng), rng).toarray()
     partition = partition_nodes(120, 3, np.random.default_rng(32))
     basis = top_k_right_singular(A[np.setdiff1d(np.arange(120), partition[0]), :], 2)
     with pytest.raises(ValueError, match="basis has 2 columns, need k=4"):

@@ -842,7 +842,7 @@ def test_spherical_matches_kmeans_when_psi_constant():
 def test_spherical_zero_rows_get_largest_cluster():
     g = np.repeat([1, 2], [16, 15])
     B = np.array([[0.9, 0.05], [0.05, 0.9]])
-    A = sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(13))
+    A = sample(SbmParams(g=g, k=2, B=B), np.random.default_rng(13)).toarray()
     A[:, 30] = 0
     A[30, :] = 0  # isolate the last node
     rows = np.arange(31)[np.arange(31) % 3 != 0]
@@ -860,7 +860,7 @@ def test_sampled_sbm_misclustering_rate():
         rng = np.random.default_rng(1000 + s)
         g = np.repeat([1, 2], 300)
         B = np.array([[0.6, 0.2], [0.2, 0.6]])
-        A = sample(SbmParams(g=g, k=2, B=B), rng)
+        A = sample(SbmParams(g=g, k=2, B=B), rng).toarray()
         rows = np.sort(rng.permutation(600)[:400])
         gh = spectral_cluster_rect(A[rows, :], 2, rng)
         if hamming_up_to_permutation(gh, g) / 600 > 0.02:
@@ -875,7 +875,7 @@ def test_sampled_dcbm_misclustering_rate():
     for s in range(50):
         rng = np.random.default_rng(2000 + s)
         p = sim3_params(1200, 2, "dcbm", rng)
-        A = sample(p, rng)
+        A = sample(p, rng).toarray()
         rows = np.sort(rng.permutation(1200)[:800])
         gh, _ = spherical_spectral_cluster_rect(A[rows, :], 2, rng)
         if hamming_up_to_permutation(gh, p.g) / 1200 > 0.05:
