@@ -7,15 +7,21 @@ runs on (the input itself when it is already in that form).  The
 edge-list loader parses a file straight into that CSR form, never
 through an n x n array; the edge-list writer and the largest-component
 helper take dense or sparse input and cost O(edges) on sparse input.
+Both edge-list functions hold one bounded chunk of text at a time.
 Node memberships are integer vectors with labels in {1..K}.  All
 randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
+from itertools import filterfalse
+
 import numpy as np
 from scipy.sparse import csr_array, issparse, triu
 from scipy.sparse.csgraph import connected_components
+
+_READ_CHARS = 1 << 14  # size hint of one fh.readlines() chunk of an edge list
+_WRITE_EDGES = 1 << 12  # edges formatted per block of rows of an edge list
 
 
 def check_adjacency(A) -> csr_array:
@@ -74,8 +80,10 @@ def load_edge_list(path):
     tokens may be arbitrary strings and are mapped to indices 0..n-1 in
     order of first appearance.  Every listed edge (i, j) also sets
     (j, i); duplicate edges collapse to a single edge and self-loops are
-    dropped.  The file is parsed into one flat token list and then
-    integer index arrays, so memory is O(edges).
+    dropped.  The file is read in chunks of whole lines (about
+    ``_READ_CHARS`` characters each), and each chunk's tokens become
+    int32 node indices at once, so memory is the index arrays, the node
+    ids and one chunk of text: O(edges).
 
     Parameters
     ----------
@@ -90,27 +98,36 @@ def load_edge_list(path):
     node_ids : list of str
         Original token for each node index.
     """
-    tokens = []
+    index = {}  # token -> node index, in order of first appearance
+    chunks = []
+    lineno = 0
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, pair in enumerate(map(str.split, fh), start=1):
-            # skip blank lines and lines whose first token starts with "#"
-            if len(pair) == 2 and pair[0][0] != "#":
-                tokens += pair
-            elif pair and pair[0][0] != "#":
-                raise ValueError(
-                    f"{path}: line {lineno}: expected two node tokens, got {len(pair)}"
-                )
-    if not tokens:
+        while lines := fh.readlines(_READ_CHARS):
+            tokens = []
+            for lineno, pair in enumerate(map(str.split, lines), start=lineno + 1):
+                # skip blank lines and lines whose first token starts with "#"
+                if len(pair) == 2 and pair[0][0] != "#":
+                    tokens += pair
+                elif pair and pair[0][0] != "#":
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected two node tokens, got {len(pair)}"
+                    )
+            new = list(filterfalse(index.__contains__, dict.fromkeys(tokens)))
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+            # int32 indices, as SciPy picks below 2**31 nodes; fromiter raises past that
+            chunks.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32,
+                                      count=len(tokens)))
+    if not index:
         raise ValueError(f"{path}: empty edge list")
-    node_ids = list(dict.fromkeys(tokens))  # first appearance order
-    n = len(node_ids)
-    index = dict(zip(node_ids, range(n)))
-    # int32 indices, as SciPy picks below 2**31 nodes; fromiter raises past that
-    ij = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-    del tokens, index
+    n = len(index)
+    node_ids = list(index)
+    del index
+    ij = np.concatenate(chunks)
+    del chunks
     i, j = ij[0::2], ij[1::2]
     keep = i != j
     i, j = i[keep], j[keep]
+    del ij, keep
     i, j = np.concatenate([i, j]), np.concatenate([j, i])
     A = csr_array((np.ones(i.size), (i, j)), shape=(n, n))  # sums duplicates
     A.data[:] = 1.0
@@ -122,13 +139,22 @@ def write_edge_list(A, path) -> None:
     row-major order, nodes numbered from 0.
 
     A may be dense or any SciPy sparse matrix; sparse input is written in
-    O(stored entries) and gives the same bytes as its dense form.
+    O(stored entries) and gives the same bytes as its dense form.  The
+    lines are formatted one block of whole rows at a time (at most
+    ``_WRITE_EDGES`` edges, or one longer row).
     """
     U = triu(A, k=1, format="csr")  # canonical: duplicates summed, indices sorted
     U.eliminate_zeros()
-    rows = np.repeat(np.arange(U.shape[0]), np.diff(U.indptr))
+    indptr = U.indptr
+    start = 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{i} {j}\n" for i, j in zip(rows.tolist(), U.indices.tolist()))
+        while start < U.shape[0]:
+            stop = max(int(np.searchsorted(indptr, indptr[start] + _WRITE_EDGES, "right")) - 1,
+                       start + 1)
+            rows = np.repeat(np.arange(start, stop), np.diff(indptr[start:stop + 1]))
+            cols = U.indices[indptr[start]:indptr[stop]]
+            fh.writelines(f"{i} {j}\n" for i, j in zip(rows.tolist(), cols.tolist()))
+            start = stop
 
 
 def largest_connected_component(A):

@@ -52,14 +52,17 @@ def check_block_matrix(B: np.ndarray, k: int) -> None:
 
 def check_degree_params(psi: np.ndarray, g: np.ndarray, k: int) -> None:
     """Raise ValueError unless psi is finite and positive with block-wise
-    maximum 1."""
+    maximum 1 (a community with no node has no maximum to check)."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != np.asarray(g).shape:
         raise ValueError("psi must have one entry per node")
     if not np.all(np.isfinite(psi) & (psi > 0.0)):
         raise ValueError("activeness entries must be finite and positive")
     for c in range(1, k + 1):
-        m = psi[np.asarray(g) == c].max()
+        members = psi[np.asarray(g) == c]
+        if members.size == 0:
+            continue
+        m = members.max()
         if abs(m - 1.0) > _PSI_TOL:
             raise ValueError(f"community {c}: block-wise max of psi is {m}, expected 1")
 
@@ -191,11 +194,13 @@ def _multinomial_membership(n: int, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def normalize_activeness(psi_raw: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    """Divide psi by its block-wise maximum so each community's max is exactly 1."""
+    """Divide psi by its block-wise maximum so each non-empty community's
+    max is exactly 1."""
     psi = np.asarray(psi_raw, dtype=float).copy()
     for c in range(1, k + 1):
         mask = np.asarray(g) == c
-        psi[mask] /= psi[mask].max()
+        if mask.any():
+            psi[mask] /= psi[mask].max()
     return psi
 
 

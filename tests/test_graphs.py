@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array, csr_matrix
 
-import netcv
+import netcv.graphs
 from netcv.graphs import (check_adjacency, check_membership, confusion_matrix,
                           hamming_up_to_permutation, largest_connected_component,
                           load_edge_list, partition_nodes, write_edge_list)
@@ -284,19 +284,24 @@ def edge_list_texts(draw):
     return "".join(lines)
 
 
-@given(text=edge_list_texts())
+@given(text=edge_list_texts(),
+       chunk=st.sampled_from([1, 2, 5, 16, 64, netcv.graphs._READ_CHARS]))
 @settings(max_examples=300, deadline=None)
-def test_load_edge_list_matches_line_by_line_oracle(tmp_path_factory, text):
+def test_load_edge_list_matches_line_by_line_oracle(tmp_path_factory, text, chunk):
+    # a chunk of 1 character reads one line at a time, so ids, comments,
+    # blank lines and the "line N" errors all cross chunk ends
     p = tmp_path_factory.mktemp("edges") / "g.txt"
     p.write_bytes(text.encode("utf-8"))
-    try:
-        want_A, want_ids = load_edge_list_oracle(p)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            load_edge_list(p)
-        assert str(got.value) == str(exc)  # same message, same line number
-        return
-    A, ids = load_edge_list(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcv.graphs, "_READ_CHARS", chunk)
+        try:
+            want_A, want_ids = load_edge_list_oracle(p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_edge_list(p)
+            assert str(got.value) == str(exc)  # same message, same line number
+            return
+        A, ids = load_edge_list(p)
     assert ids == want_ids
     assert np.array_equal(A.toarray(), want_A)
 
@@ -311,20 +316,42 @@ def _write_rows(path, n, degree, rng):
             fh.write("".join(f"{i} {j}\n" for j in js.tolist()))
 
 
-def test_load_edge_list_memory_is_bounded_by_edges(tmp_path):
-    # n = 20,000 at average degree about 30: the peak is about 39 MiB,
-    # most of it the flat token list; the dense int8 A of the
-    # line-by-line loader alone would take 381 MiB
-    path = tmp_path / "big.txt"
+@pytest.fixture(scope="module")
+def big_edge_list(tmp_path_factory):
+    """A 20,000-node edge list with average degree about 30."""
+    path = tmp_path_factory.mktemp("big") / "big.txt"
     _write_rows(path, 20_000, 30, np.random.default_rng(0))
+    return path
+
+
+def _traced_peak(f):
+    """f's return value and the peak of its traced allocations, in MiB."""
     tracemalloc.start()
     try:
-        A = check_adjacency(load_edge_list(path)[0])
+        out = f()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def test_load_edge_list_memory_is_bounded_by_edges(big_edge_list):
+    # the peak is about 17 MiB, most of it SciPy's COO-to-CSR conversion
+    # (the CSR arrays returned take 7 MiB); a flat token list of the whole
+    # file took 39 MiB, and a dense int8 A alone would take 381 MiB
+    A, peak = _traced_peak(lambda: check_adjacency(load_edge_list(big_edge_list)[0]))
     assert A.shape[0] > 19_900 and 25 < A.nnz / A.shape[0] < 35
-    assert peak < 80 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert peak < 20, f"peak {peak:.1f} MiB"
+
+
+def test_write_edge_list_memory_is_bounded_by_edges(big_edge_list, tmp_path):
+    # the peak is about 11 MiB, most of it the upper-triangle copy; one
+    # Python line per edge at once took 28 MiB
+    A, _ = load_edge_list(big_edge_list)
+    _, peak = _traced_peak(lambda: write_edge_list(A, tmp_path / "out.txt"))
+    assert peak < 16, f"peak {peak:.1f} MiB"
+    B, _ = load_edge_list(tmp_path / "out.txt")
+    assert B.nnz == A.nnz
 
 
 def _random_graph(n, p, seed):
@@ -341,11 +368,14 @@ def test_write_edge_list_same_bytes_from_dense_and_sparse(tmp_path, kind):
 
     A = _random_graph(30, 0.2, 3)
     iu, ju = np.nonzero(np.triu(A, 1))  # the dense writer's row-major order
-    assert written(A) == "".join(f"{i} {j}\n" for i, j in zip(iu, ju)).encode()
-    assert written(kind(A)) == written(A)
     S = kind(A.astype(float))
     S.data[:5] = 0.0  # explicitly stored zeros are not edges
-    assert written(S) == written(S.toarray()) != written(A)
+    for block in (1, 7, netcv.graphs._WRITE_EDGES):  # 1 edge: one row per block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netcv.graphs, "_WRITE_EDGES", block)
+            assert written(A) == "".join(f"{i} {j}\n" for i, j in zip(iu, ju)).encode()
+            assert written(kind(A)) == written(A)
+            assert written(S) == written(S.toarray()) != written(A)
 
 
 # ---------------------------------------------------------------- components

@@ -55,6 +55,19 @@ def test_dcbm_params_requires_blockwise_max_one():
         DcbmParams(g=g, k=2, B=B, psi=-psi)
 
 
+def test_dcbm_params_accept_an_empty_community():
+    g = np.array([1, 1, 1])
+    B = np.array([[0.5, 0.1], [0.1, 0.5]])
+    psi = normalize_activeness(np.array([0.2, 0.4, 0.8]), g, 2)
+    assert np.array_equal(psi, [0.25, 0.5, 1.0])
+    p = DcbmParams(g=g, k=2, B=B, psi=psi)
+    A = sample(p, np.random.default_rng(0))
+    assert A.shape == (3, 3) and check_adjacency(A) is A
+    assert np.array_equal(A.toarray(), dense_sample(p, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="community 1"):
+        DcbmParams(g=g, k=2, B=B, psi=psi * 0.9)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_dcbm_params_rejects_non_finite_psi(bad):
     g = np.repeat([1, 2], 3)
@@ -148,7 +161,7 @@ def dense_sample(params, rng):
 
 @st.composite
 def block_models(draw):
-    """SBM (possibly with an empty block) or DCBM parameters, with entries
+    """SBM or DCBM parameters (possibly with an empty block), with entries
     of B at 0 or 1 and a block maximum of psi just above 1 (inside the
     tolerance of ``DcbmParams``), which can push B_ab psi_i psi_j past 1."""
     n = draw(st.integers(1, 40))
@@ -161,7 +174,6 @@ def block_models(draw):
     B = np.triu(B) + np.triu(B, 1).T
     if not draw(st.booleans()):
         return SbmParams(g=g, k=k, B=B)
-    g[:k] = np.arange(1, k + 1)  # psi needs every block filled
     psi = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     psi = normalize_activeness(psi, g, k)
     top = np.flatnonzero(psi == 1.0)  # every block's maximum
