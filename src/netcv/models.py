@@ -178,6 +178,9 @@ def _upper_triangle(params, rng: np.random.Generator) -> csr_array:
         hit_cols.append(cols[hits].astype(np.int32))
         start = stop
     indptr = np.concatenate(([0], np.cumsum(counts)))
+    # int32 index arrays while U + U.T can hold them, as load_edge_list returns
+    if 2 * indptr[-1] <= np.iinfo(np.int32).max:
+        indptr = indptr.astype(np.int32)
     return csr_array((np.ones(int(indptr[-1])), np.concatenate(hit_cols), indptr),
                      shape=(n, n))
 

@@ -10,10 +10,17 @@ rows for the plain block model, and k-median on the row-normalized
 ("spherical") rows for the degree-corrected model, whose row norms
 carry the node-activeness information.  A k-median center is the
 geometric median of its cluster, found by Newton's method on the sum of
-distances.  Weiszfeld steps with the Vardi-Zhang correction take over
-where Newton cannot go on (an iterate on a data point, collinear points,
-a stalled line search) and lift it out of a data point that is not the
-median.
+distances.  Each pass gathers the points of its new clusters (keyed by
+member indices, each once, across runs; clusters solved in an earlier
+pass of the same call are reused) into one array, a run of columns per
+cluster, and steps them together: per-cluster sums by
+``np.add.reduceat`` and one batched linear solve per step, with clusters
+dropping out as they converge.  No sum crosses a cluster's columns, so
+a median has the bits of ``geometric_median`` on that cluster alone.
+Weiszfeld steps with the Vardi-Zhang correction take over, one cluster
+at a time, where Newton cannot go on (an iterate on a data point,
+collinear points, a stalled line search) and lift it out of a data point
+that is not the median.
 
 Both clusterers keep the best of ``_RESTARTS`` seeded restarts.  All
 start centers are drawn first, in restart order (the runs draw no random
@@ -27,11 +34,10 @@ smaller objective.
 from __future__ import annotations
 
 import logging
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -44,6 +50,7 @@ _RESTARTS = 10
 _MAX_ITER = 100
 _MEDIAN_TOL = 1e-8
 _MEDIAN_MAX_ITER = 500
+_MEDIAN_BATCH = 1 << 14  # points per batched median solve; a larger set goes alone
 
 
 class SingularBasis(NamedTuple):
@@ -177,17 +184,10 @@ def _repair_empty(X, centers, labels, dist):
     return moved
 
 
-def _each_cluster(center_of, X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
-    """Move each nonempty cluster's center to ``center_of`` its points, for
-    labels (runs, n) and centers (runs, k, d), in place."""
-    for run, run_centers in zip(labels, centers):
-        for c in np.unique(run):
-            run_centers[c] = center_of(X[run == c])
-
-
 def _means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
-    """The k-means update of ``_each_cluster`` with the mean, each cluster's
-    rows summed in order by ``np.bincount``."""
+    """The k-means update: move each nonempty cluster's center to the mean
+    of its points, for labels (runs, n) and centers (runs, k, d), in place,
+    each cluster's rows summed in order by ``np.bincount``."""
     runs, k, d = centers.shape
     bins = (labels + k * np.arange(runs)[:, None]).ravel()
     counts = np.bincount(bins, minlength=runs * k)
@@ -205,16 +205,21 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
     of the runs still going, in place; the objective sums squared
     distances when ``squared``, else plain ones.  A run stops once its
     labels are unchanged and no empty-cluster repair moved a center; a
-    run still going at ``max_iter`` logs a warning."""
+    run still going at ``max_iter`` logs a warning.  A settled run keeps
+    the distances of its last pass, which are those to its final centers."""
+    def total(dist):
+        return (dist**2).sum(axis=1) if squared else dist.sum(axis=1)
     XT = np.ascontiguousarray(X.T)
     labels = np.full((len(centers), len(X)), -1, dtype=np.intp)
     final = np.empty_like(centers)
+    objectives = np.empty(len(centers))
     going, moving = np.arange(len(centers)), centers.copy()
     for _ in range(max_iter):
         new, dist = _nearest(XT, moving)
         on = _repair_empty(X, moving, new, dist) | (new != labels[going]).any(axis=1)
         labels[going] = new
         final[going[~on]] = moving[~on]
+        objectives[going[~on]] = total(dist[~on])
         going, moving = going[on], moving[on]
         if going.size == 0:
             break
@@ -222,9 +227,10 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
     for _ in going:
         logger.warning("clustering of %d points into %d clusters stopped at max_iter=%d "
                        "before the labels settled", X.shape[0], centers.shape[1], max_iter)
-    final[going] = moving
-    dist = _nearest(XT, final)[1]
-    return labels, final, (dist**2).sum(axis=1) if squared else dist.sum(axis=1)
+    if going.size:
+        final[going] = moving
+        objectives[going] = total(_nearest(XT, moving)[1])
+    return labels, final, objectives
 
 
 def _cluster(X, k: int, rng: np.random.Generator, update, squared: bool) -> ClusterResult:
@@ -278,36 +284,176 @@ def _weiszfeld(P: np.ndarray, y: np.ndarray, tol: float, max_iter: int):
     return y, False
 
 
-def _newton_step(P: np.ndarray, y: np.ndarray, diff: np.ndarray, d: np.ndarray, tol: float):
-    """One Newton step on f(y) = sum_i ||x_i - y|| from y, where diff = y - P
-    and d holds its row norms, halved until f falls by an Armijo fraction.
-    Returns (y, diff, d, reason): the new iterate, or the old one with the
-    reason Newton stops there ("on a point", "singular", "stall"), or
-    y - s with reason "converged" once the step s is below tol."""
-    if d.min() < _ON_POINT_TOL:
-        return y, diff, d, "on a point"
-    w = 1.0 / d
-    u = diff * w[:, None]
-    g = u.sum(axis=0)
-    # LAPACK directly: np.linalg.solve's wrapper takes about 5x as long on K x K
-    s, info = dgesv(w.sum() * np.eye(len(g)) - (u.T * w) @ u, g)[2:]
-    if info != 0:
-        return y, diff, d, "singular"
-    slope = g @ s
-    if not 0.0 < slope < np.inf:  # no finite descent step: H is (near) singular
-        return y, diff, d, "singular"
-    length = np.linalg.norm(s)
-    if length < tol:
-        return y - s, diff, d, "converged"
-    f, t = d.sum(), 1.0
-    while t * length >= tol:
-        y_t = y - t * s
-        diff_t = y_t - P
-        d_t = _dist(diff_t)
-        if d_t.sum() <= f - _ARMIJO * t * slope:
-            return y_t, diff_t, d_t, None
+def _solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s_j = H_j^{-1} g_j for H (S, dim, dim) and g (S, dim), with NaN for
+    a singular H_j: one failing matrix leaves the others' solves alone."""
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        s = np.full_like(g, np.nan)
+        for j in range(len(g)):
+            try:  # the same batched call on one matrix, so the same bits
+                s[j] = np.linalg.solve(H[j:j + 1], g[j:j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return s
+
+
+@lru_cache
+def _upper_pairs(dim: int):
+    """The index arrays of the pairs a <= b below dim, read-only as every
+    caller shares them."""
+    pairs = np.triu_indices(dim)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _newton_step(PT: np.ndarray, counts: np.ndarray, y: np.ndarray, diff: np.ndarray,
+                 d: np.ndarray, tol: float):
+    """One Newton step on f_j(y) = sum_i ||x_i - y|| for each of several
+    point sets j at once.  Set j is ``counts[j]`` consecutive columns of
+    PT (dim x M), its iterate is column j of y (dim x S), diff holds
+    y_j - x_i column by column and d its column norms.  Every sum runs
+    over one set's own columns (``np.add.reduceat``), so no set's bits
+    depend on the others.  A step is halved until f_j falls by an Armijo
+    fraction.  Returns (y, diff, d, reasons): the iterates, diff and d of
+    the new iterates (for every set that did not converge), and per set
+    None after a step, the reason Newton stops at the old iterate ("on a
+    point", "singular", "stall"), or "converged" with y_j - s_j once the
+    step s_j is below tol."""
+    dim, S = y.shape
+    starts = np.cumsum(counts) - counts
+    reasons = np.full(S, None, dtype=object)
+    on = np.minimum.reduceat(d, starts) < _ON_POINT_TOL
+    a, b = _upper_pairs(dim)
+    # rows u_i = diff_i w_i, w_i and w_i u_ia u_ib (a <= b), summed per set at once
+    terms = np.empty((dim + 1 + a.size, d.size))
+    w = terms[dim]
+    np.divide(1.0, np.where(np.repeat(on, counts), 1.0, d) if on.any() else d, out=w)
+    u = np.multiply(diff, w, out=terms[:dim])
+    uw = u * w
+    for p in range(a.size):
+        np.multiply(uw[a[p]], u[b[p]], out=terms[dim + 1 + p])
+    sums = np.add.reduceat(terms, starts, axis=1).T
+    g = sums[:, :dim]
+    H = np.empty((S, dim, dim))
+    H[:, a, b] = H[:, b, a] = -sums[:, dim + 1:]
+    H.reshape(S, dim * dim)[:, ::dim + 1] += sums[:, dim:dim + 1]
+    if on.any():
+        reasons[on] = "on a point"
+        H[on] = np.eye(dim)
+    s = _solve(H, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # s from a (near) singular H
+        slope = g[:, 0] * s[:, 0]
+        for t in range(1, dim):
+            slope += g[:, t] * s[:, t]
+        length = _dist(s)
+    singular = ~on & ~((0.0 < slope) & (slope < np.inf))  # no finite descent step
+    done = on | singular | (length < tol)
+    conv = done & ~(on | singular)
+    reasons[singular] = "singular"
+    reasons[conv] = "converged"
+    y = y - np.where(conv, s.T, 0.0)
+    f, t = np.add.reduceat(d, starts), 1.0
+    search, stall = ~done, ~done
+    # A trial recomputes every set's columns, and those of a set whose
+    # iterate stays keep their bits, so the trial arrays replace diff and d
+    # whole once every set still searching has stepped.
+    while (search := search & (t * length >= tol)).any():
+        y_t = y - t * np.where(search, s.T, 0.0)
+        diff_t = np.repeat(y_t, counts, axis=1)
+        diff_t -= PT
+        d_t = _dist(diff_t.T)
+        ok = search & (np.add.reduceat(d_t, starts) <= f - _ARMIJO * t * slope)
+        y = np.where(ok, y_t, y)
+        if (ok == search).all():
+            diff, d = diff_t, d_t
+        elif ok.any():
+            cols = np.repeat(ok, counts)
+            diff, d = np.where(cols, diff_t, diff), np.where(cols, d_t, d)
+        search &= ~ok
+        stall &= ~ok
         t *= 0.5
-    return y, diff, d, "stall"
+    reasons[stall] = "stall"
+    return y, diff, d, reasons
+
+
+def _warn_capped(n: int, max_iter: int, tol: float):
+    logger.warning("geometric median of %d points stopped at max_iter=%d "
+                   "before the step fell below tol=%g", n, max_iter, tol)
+
+
+def _newton_medians(PT: np.ndarray, counts: np.ndarray, out: np.ndarray, tol: float,
+                    max_iter: int):
+    """Fill row j of out with the geometric median of the ``counts[j]``
+    consecutive columns of PT, see ``geometric_median``.  The sets step
+    together in ``_newton_step`` and drop out as they converge; a set that
+    Newton stops for another reason goes through the Weiszfeld hand-off
+    on its own and, if Newton resumes, steps on as a batch of one."""
+    starts = np.cumsum(counts) - counts
+    work = [(PT, counts, np.arange(len(counts)),
+             np.add.reduceat(PT, starts, axis=1) / counts, 0)]
+    while work:
+        PT, counts, ids, y, first = work.pop()
+        diff = np.repeat(y, counts, axis=1) - PT
+        d = _dist(diff.T)
+        for steps in range(first, max_iter):
+            y, diff, d, reasons = _newton_step(PT, counts, y, diff, d, tol)
+            going = np.equal(reasons, None)
+            if going.all():
+                continue
+            starts = np.cumsum(counts) - counts
+            for j in np.flatnonzero(~going):
+                if reasons[j] == "converged":
+                    out[ids[j]] = y[:, j]
+                    continue
+                own = slice(starts[j], starts[j] + counts[j])
+                P, dj = np.ascontiguousarray(PT[:, own].T), d[own]
+                logger.debug("geometric median of %d points: Newton fell back to "
+                             "Weiszfeld (%s)", P.shape[0], reasons[j])
+                near = P[np.argmin(dj)]
+                if not _dist(P - near).sum() < dj.sum():
+                    out[ids[j]], settled = _weiszfeld(P, y[:, j], tol, max_iter - steps)
+                    if not settled:
+                        _warn_capped(counts[j], max_iter, tol)
+                    continue
+                yj, settled = _weiszfeld(P, near.copy(), tol, 1)
+                if settled:
+                    out[ids[j]] = yj
+                else:
+                    work.append((P.T.copy(), counts[j:j + 1], ids[j:j + 1], yj[:, None],
+                                 steps + 1))
+            if not going.any():
+                break
+            cols = np.repeat(going, counts)
+            PT, diff, d = PT.compress(cols, axis=1), diff.compress(cols, axis=1), d[cols]
+            counts, ids, y = counts[going], ids[going], y[:, going]
+        else:
+            for j, (i, count) in enumerate(zip(ids, counts)):
+                _warn_capped(count, max_iter, tol)
+                out[i] = y[:, j]
+
+
+def _geometric_medians(X: np.ndarray, members) -> np.ndarray:
+    """Geometric medians (S, d) of the point sets ``X[m]`` for m in
+    members, each the bits of ``geometric_median(X[m])``.  The sets are
+    solved together in batches of at most ``_MEDIAN_BATCH`` points (a
+    larger set alone), so the work arrays stay one batch long."""
+    tol, max_iter, cap = _MEDIAN_TOL, _MEDIAN_MAX_ITER, _MEDIAN_BATCH
+    XT = np.ascontiguousarray(X.T, dtype=float)
+    sizes = np.array([len(m) for m in members])
+    out = np.empty((len(members), XT.shape[0]))
+    first = 0
+    while first < len(members):
+        last, total = first + 1, sizes[first]
+        while last < len(members) and total + sizes[last] <= cap:
+            total += sizes[last]
+            last += 1
+        PT = XT.take(np.concatenate(members[first:last]), axis=1)
+        _newton_medians(PT, sizes[first:last], out[first:last], tol, max_iter)
+        first = last
+    return out
 
 
 def geometric_median(P: np.ndarray) -> np.ndarray:
@@ -328,54 +474,47 @@ def geometric_median(P: np.ndarray) -> np.ndarray:
     leaves it downhill, and Newton resumes.  Otherwise Weiszfeld iteration
     goes on from the iterate.  At most 500 Newton and Weiszfeld steps are
     taken together; a call that reaches the cap logs a warning and returns
-    the last iterate.
+    the last iterate.  k-median solves many sets at once with the same
+    code; every sum runs over one set's own points, so a set's median has
+    the same bits in a batch as alone.
     """
-    P = np.ascontiguousarray(P, dtype=float)
+    P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
         raise ValueError(f"need at least one point as a row with at least one column, "
                          f"got shape {P.shape}")
-    tol, max_iter = _MEDIAN_TOL, _MEDIAN_MAX_ITER
-    y = P.mean(axis=0)
-    diff = y - P
-    d = _dist(diff)
-    for steps in range(max_iter):
-        y, diff, d, reason = _newton_step(P, y, diff, d, tol)
-        if reason == "converged":
-            return y
-        if reason is None:
-            continue
-        logger.debug("geometric median of %d points: Newton fell back to Weiszfeld (%s)",
-                     P.shape[0], reason)
-        near = P[np.argmin(d)]
-        if not _dist(P - near).sum() < d.sum():
-            break
-        y, settled = _weiszfeld(P, near.copy(), tol, 1)
-        if settled:
-            return y
-        diff = y - P
-        d = _dist(diff)
-    else:
-        steps = max_iter
-    y, settled = _weiszfeld(P, y, tol, max_iter - steps)
-    if not settled:
-        logger.warning("geometric median of %d points stopped at max_iter=%d "
-                       "before the step fell below tol=%g", P.shape[0], max_iter, tol)
-    return y
+    return _geometric_medians(P, [np.arange(P.shape[0])])[0]
+
+
+def _median_update(memo: dict, X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+    """The k-median update: move each nonempty cluster's center to the
+    geometric median of its points, for labels (runs, n) and centers
+    (runs, k, d), in place.  ``memo`` maps a cluster's member indices to
+    its median, across runs and passes; the new clusters of a pass, each
+    once, are solved together by ``_geometric_medians``."""
+    runs, k, _ = centers.shape
+    cells = (labels + k * np.arange(runs)[:, None]).ravel()
+    order = np.argsort(cells, kind="stable") % labels.shape[1]  # members in index order
+    sizes = np.bincount(cells, minlength=runs * k)
+    ends = np.cumsum(sizes)
+    keys, new = {}, {}
+    for cell in np.flatnonzero(sizes):
+        members = order[ends[cell] - sizes[cell]:ends[cell]]
+        keys[cell] = key = members.tobytes()
+        if key not in memo:
+            new[key] = members
+    if new:
+        memo.update(zip(new, _geometric_medians(X, list(new.values()))))
+    for cell, key in keys.items():
+        centers[divmod(cell, k)] = memo[key]
 
 
 def kmedian_spherical(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterResult:
     """k-median clustering: centers are geometric medians, the objective is
     the sum of Euclidean (not squared) distances to assigned centers; best
     of 10 runs of at most 100 passes.  Intended for row-normalized rows.
-    Restarts that reach the same cluster share its median, computed once."""
-    medians = {}
-
-    def median(P):
-        key = P.tobytes()
-        if key not in medians:
-            medians[key] = geometric_median(P)
-        return medians[key]
-    return _cluster(X, k, rng, partial(_each_cluster, median), squared=False)
+    Runs and passes that reach the same cluster share its median,
+    computed once."""
+    return _cluster(X, k, rng, partial(_median_update, {}), squared=False)
 
 
 def spherical_embed(U: np.ndarray):

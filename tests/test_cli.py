@@ -54,6 +54,18 @@ def test_simulate_output_is_pinned(tmp_path, capsys, model, edges, edges_sha256)
     assert f"wrote 600 nodes, {edges} edges" in capsys.readouterr().err
 
 
+def test_degree_corrected_select_is_pinned(tmp_path, capsys):
+    # sha256 of the report before the k-median medians were solved in batches
+    edges, report = tmp_path / "edges.txt", tmp_path / "report.json"
+    assert main(["simulate", "dcbm", "--n", "600", "--k", "3", "--b-diag", "0.3",
+                 "--b-off", "0.05", "--seed", "42", "--output", str(edges)]) == 0
+    assert main(["select", "--input", str(edges), "--models", "sbm,dcbm", "--kmax", "4",
+                 "--seed", "5", "--threads", "1", "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["selected"] == {"model": "dcbm", "K": 3}
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "e791b84b58fc58612d86213d639cc8d1a4c592858301faae18a8bd582bbaec73")
+
+
 def test_simulate_rejects_bad_probability(tmp_path, capsys):
     out = str(tmp_path / "edges.txt")
     code = main(["simulate", "sbm", "--n", "20", "--k", "2", "--b-diag", "1.5",

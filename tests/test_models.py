@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netcv.models
-from netcv.graphs import check_adjacency
+from netcv.graphs import check_adjacency, load_edge_list, write_edge_list
 from netcv.models import (DcbmParams, SbmParams, expected_P, normalize_activeness,
                           sample, sim1_params, sim2_params, sim3_params,
                           sim2_sigma_threshold, _multinomial_membership)
@@ -226,6 +226,16 @@ def test_sample_returns_the_canonical_csr_adjacency():
     A = sample(sim3_params(300, 3, "dcbm", np.random.default_rng(4)),
                np.random.default_rng(5))
     assert check_adjacency(A) is A
+
+
+@pytest.mark.parametrize("model", ["sbm", "dcbm"])
+def test_sample_index_dtypes_match_the_loaded_edge_list(model, tmp_path):
+    A = sample(sim3_params(300, 3, model, np.random.default_rng(4)),
+               np.random.default_rng(5))
+    write_edge_list(A, tmp_path / "edges.txt")
+    loaded, _ = load_edge_list(tmp_path / "edges.txt")
+    assert (A.indptr.dtype, A.indices.dtype) == (loaded.indptr.dtype, loaded.indices.dtype)
+    assert A.indices.dtype == np.int32
 
 
 def test_sample_memory_is_bounded_by_edges():

@@ -1,6 +1,7 @@
 """Truncated SVD and the two clustering routines."""
 
 import logging
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -13,7 +14,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
-from netcv.spectral import (_alternate, _dist, _each_cluster, _means, _nearest,
+from netcv.spectral import (_alternate, _dist, _geometric_medians, _means, _nearest,
                             _newton_step,
                             _seed_centers, _weiszfeld, geometric_median, kmeans,
                             kmedian_spherical,
@@ -287,9 +288,11 @@ def test_newton_step_stops_on_a_singular_hessian():
     P = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     y = np.array([2.0, 0.0])
     diff = y - P
-    y_new, _, _, reason = _newton_step(P, y, diff, _dist(diff), 1e-8)
-    assert reason == "singular"
-    assert np.array_equal(y_new, y)
+    y_new, _, _, reasons = _newton_step(np.ascontiguousarray(P.T), np.array([3]),
+                                        y[:, None], np.ascontiguousarray(diff.T),
+                                        _dist(diff), 1e-8)
+    assert list(reasons) == ["singular"]
+    assert np.array_equal(y_new[:, 0], y)
 
 
 def test_geometric_median_collinear_matches_scan():
@@ -369,6 +372,15 @@ def _kmedian_input():
     X = np.random.default_rng(10).standard_normal((40, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     return X, X[:4].copy()
+
+
+def _each_cluster(center_of, X, labels, centers):
+    """The per-cluster update: move each nonempty cluster's center to
+    ``center_of`` its points, for labels (runs, n) and centers (runs, k,
+    d), in place."""
+    for run, run_centers in zip(labels, centers):
+        for c in np.unique(run):
+            run_centers[c] = center_of(X[run == c])
 
 
 _medians = partial(_each_cluster, geometric_median)
@@ -707,6 +719,113 @@ def test_geometric_median_settles_where_weiszfeld_is_slow():
     assert median_objective(P, y) <= median_objective(P, ref) * (1 + 1e-12)
 
 
+def batch_sets():
+    """Two-column point sets of every kind the batched median meets: random
+    sets of several sizes, a single point, duplicate points, and each
+    Weiszfeld fallback."""
+    rng = np.random.default_rng(31)
+    sets = [rng.standard_normal((n, 2)) * rng.uniform(0.1, 10) for n in (2, 3, 7, 40, 300)]
+    sets += [np.array([[0.3, -1.2]]), np.array([[1.0, 2.0]] * 3 + [[0.0, 0.0], [2.0, 0.5]]),
+             np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [10.0, 10.0]]), LOPSIDED]
+    sets += [P for P, _, _ in FALLBACKS.values()]
+    return sets
+
+
+@pytest.mark.parametrize("cap", [1 << 14, 1], ids=["default-cap", "one-set-cap"])
+def test_geometric_medians_match_geometric_median_bitwise(cap, monkeypatch, caplog):
+    sets = batch_sets()
+    # the sets' rows shuffled into one matrix, so each set is gathered
+    X = np.vstack(sets)
+    perm = np.random.default_rng(32).permutation(len(X))
+    X = X[perm]
+    where = np.argsort(perm)
+    ends = np.cumsum([len(P) for P in sets])
+    members = [where[end - len(P):end] for P, end in zip(sets, ends)]
+    with caplog.at_level(logging.DEBUG, logger="netcv.spectral"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alone = [geometric_median(P) for P in sets]
+        alone_log = sorted(caplog.messages)
+        caplog.clear()
+        batches = []
+
+        def spy(PT, counts, *args):
+            batches.append(len(counts))
+            return newton_medians(PT, counts, *args)
+        newton_medians = netcv.spectral._newton_medians
+        monkeypatch.setattr(netcv.spectral, "_newton_medians", spy)
+        monkeypatch.setattr(netcv.spectral, "_MEDIAN_BATCH", cap)
+        batch = _geometric_medians(X, members)
+    assert batches == ([len(sets)] if cap > len(X) else [1] * len(sets))
+    assert sorted(caplog.messages) == alone_log
+    assert len(alone_log) >= len(FALLBACKS)
+    for y, ref in zip(batch, alone):
+        assert y.tobytes() == ref.tobytes()
+
+
+def newton_states(P):
+    """Every (y, diff, d) one set's Newton iteration passes through from the
+    mean, up to the step where it converges or stops."""
+    PT, counts = np.ascontiguousarray(P.T), np.array([len(P)])
+    y = PT.mean(axis=1, keepdims=True)
+    diff = y - PT
+    d = _dist(diff.T)
+    states = []
+    for _ in range(100):
+        states.append((y, diff, d))
+        y, diff, d, reasons = _newton_step(PT, counts, y, diff, d, 1e-8)
+        if reasons[0] is not None:
+            return states
+    raise AssertionError("no stop within 100 steps")
+
+
+def test_newton_step_bits_do_not_depend_on_the_batch():
+    # every state of every set in one step: sets that step at t = 1, after
+    # halving, or not at all (converged, on a point, singular, stalled)
+    sets, states = batch_sets(), []
+    for P in sets:
+        states += [(P, state) for state in newton_states(P)]
+    PT = np.ascontiguousarray(np.vstack([P for P, _ in states]).T)
+    counts = np.array([len(P) for P, _ in states])
+    y = np.hstack([state[0] for _, state in states])
+    diff = np.hstack([state[1] for _, state in states])
+    d = np.concatenate([state[2] for _, state in states])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        y_b, diff_b, d_b, reasons_b = _newton_step(PT, counts, y, diff, d, 1e-8)
+    assert {"converged", "on a point", "singular", "stall", None} <= set(reasons_b)
+    ends = np.cumsum(counts)
+    for j, (P, state) in enumerate(states):
+        y1, diff1, d1, reasons1 = _newton_step(np.ascontiguousarray(P.T), counts[j:j + 1],
+                                               *state, 1e-8)
+        cols = slice(ends[j] - counts[j], ends[j])
+        assert reasons_b[j] == reasons1[0]
+        assert y_b[:, j].tobytes() == y1[:, 0].tobytes()
+        if reasons1[0] != "converged":
+            assert diff_b[:, cols].tobytes() == diff1.tobytes()
+            assert d_b[cols].tobytes() == d1.tobytes()
+
+
+def test_newton_step_leaves_the_other_sets_of_a_singular_batch_alone():
+    # the first set's Hessian has an exact zero pivot, so the batched solve fails
+    singular = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    other = np.random.default_rng(33).standard_normal((20, 2))
+
+    def step(sets, ys):
+        PT = np.ascontiguousarray(np.vstack(sets).T)
+        counts = np.array([len(P) for P in sets])
+        y = np.array(ys).T
+        diff = np.repeat(y, counts, axis=1) - PT
+        return _newton_step(PT, counts, y, diff, _dist(diff.T), 1e-8)
+    y0 = other.mean(axis=0)
+    y, diff, d, reasons = step([singular, other], [[2.0, 0.0], y0])
+    y_alone, diff_alone, d_alone, reasons_alone = step([other], [y0])
+    assert list(reasons) == ["singular", None] and list(reasons_alone) == [None]
+    assert np.array_equal(y[:, 0], [2.0, 0.0])
+    assert y[:, 1].tobytes() == y_alone[:, 0].tobytes()
+    assert diff[:, 3:].tobytes() == diff_alone.tobytes()
+    assert d[3:].tobytes() == d_alone.tobytes()
+
+
 CLUSTERERS = [
     pytest.param(kmeans, in_order_mean, True, id="kmeans"),
     pytest.param(kmedian_spherical, geometric_median, False, id="kmedian"),
@@ -757,15 +876,17 @@ def test_lockstep_runs_match_reference_runs(case, update, center_of, squared):
 
 
 def test_kmedian_computes_each_clusters_median_once(monkeypatch):
-    seen = []
+    seen, batches = [], []
 
-    def spy(P):
-        seen.append(P.tobytes())
-        return geometric_median(P)
-    monkeypatch.setattr(netcv.spectral, "geometric_median", spy)
+    def spy(X, members):
+        seen.extend(X[m].tobytes() for m in members)
+        batches.append(len(members))
+        return _geometric_medians(X, members)
+    monkeypatch.setattr(netcv.spectral, "_geometric_medians", spy)
     X, k = exactness_inputs()[6]
     kmedian_spherical(X, k, np.random.default_rng(0))
     assert len(seen) > k and len(seen) == len(set(seen))
+    assert max(batches) > k  # the first pass solves the clusters of several runs at once
 
 
 # ---------------------------------------------------------------- embedding
