@@ -10,8 +10,9 @@ activeness products over the same pairs, which is the pair count when
 there is no psi_hat.
 
 The adjacency argument may be a SciPy CSR array or a dense matrix; the
-same row slices and products serve both.  Only the rows indexed by N1
-are read, so on CSR the sums cost O(stored entries in those rows + n k).  It may also hold
+same row slice and product serve both, and no column slice is taken.
+Only the rows indexed by N1 are read, so on CSR the sums cost
+O(stored entries in those rows x k + n k).  It may also hold
 floats: feeding the population edge-probability matrix recovers the
 model parameters exactly, which the tests rely on.
 """
@@ -57,18 +58,23 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
 
     Returns (Num, Den): Num[a, b] is the sum of A_ij over unordered
     observed pairs with labels {a+1, b+1}; Den is ``_pair_counts``.
-    With H the one-hot label matrix, H1 its rows in N1 and A1 the rows
-    of A in N1 (CSR or dense), the ordered sums are H1^T A1 H (source in N1) and
-    H1^T A1[:, N1] H1 (both ends in N1).  On a 0/1 matrix every partial
-    sum is an integer, so Num is exact.
+    With H the one-hot label matrix, H1 its rows in N1, A1 the rows of A
+    in N1 (CSR or dense) and 1_N1 the indicator of N1, one product
+    A1 [H | diag(1_N1) H] gives the ordered sums H1^T A1 H (source in N1)
+    and H1^T A1 diag(1_N1) H (both ends in N1), with no column slice of
+    A1.  On a 0/1 matrix every partial sum is an integer, so Num is
+    exact.
     """
     N1 = np.asarray(N1, dtype=np.int64)
     g = np.asarray(g)
-    A1 = A[N1]
     H = _onehot(g, k)
     H1 = H[N1]
-    S = H1.T @ (A1 @ H)             # ordered sums, source in N1
-    S11 = H1.T @ (A1[:, N1] @ H1)   # ordered sums within N1
+    both = np.zeros((g.size, 2 * k))
+    both[:, :k] = H
+    both[N1, k:] = H1
+    AH = A[N1] @ both
+    S = H1.T @ AH[:, :k]     # ordered sums, source in N1
+    S11 = H1.T @ AH[:, k:]   # ordered sums within N1
     # self-pairs are never observed pairs
     self_sums = np.diag(np.bincount(g[N1] - 1, A.diagonal()[N1], k))
     S -= self_sums

@@ -82,8 +82,9 @@ def load_edge_list(path):
     (j, i); duplicate edges collapse to a single edge and self-loops are
     dropped.  The file is read in chunks of whole lines (about
     ``_READ_CHARS`` characters each), and each chunk's tokens become
-    int32 node indices at once, so memory is the index arrays, the node
-    ids and one chunk of text: O(edges).
+    int32 node indices at once; the CSR arrays come from the sorted
+    int64 keys i * n + j of both directions, so memory is the index
+    arrays, the node ids and one chunk of text: O(edges).
 
     Parameters
     ----------
@@ -128,9 +129,29 @@ def load_edge_list(path):
     keep = i != j
     i, j = i[keep], j[keep]
     del ij, keep
-    i, j = np.concatenate([i, j]), np.concatenate([j, i])
-    A = csr_array((np.ones(i.size), (i, j)), shape=(n, n))  # sums duplicates
-    A.data[:] = 1.0
+    # the entries (i, j) and (j, i) as int64 keys i * n + j, sorted in
+    # place: the row-major order of the CSR array, repeats adjacent
+    m = i.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    keys[:m], keys[m:] = i, j
+    keys *= n
+    keys[:m] += j
+    keys[m:] += i
+    del i, j
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    del first
+    # int32 index arrays while the 2m entries fit, as SciPy's COO-to-CSR
+    # conversion picks
+    index = np.int32 if 2 * m <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(index)
+    indices = np.remainder(keys, n, out=keys).astype(index)
+    del keys
+    A = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    A.has_canonical_format = True  # sorted, each entry once
     return A, node_ids
 
 

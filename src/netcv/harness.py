@@ -136,11 +136,17 @@ def _select_cells(spec, sim, cells):
 
     ``cells`` holds (key, candidates, params_of) per grid cell; the
     run's replicates form one task list shared by ``spec.threads``
-    processes.
+    processes, queued costliest first (the longest candidate list first,
+    in grid order among equals), so that the processes end on the cheap
+    ones.
     """
     tasks = [(spec, candidates, sim, key, rep, params_of)
              for key, candidates, params_of in cells for rep in range(spec.reps)]
-    sels = _run_tasks(_select_rep, tasks, spec.threads)
+    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][1]))
+    sels = [None] * len(tasks)
+    for i, sel in zip(order, _run_tasks(_select_rep, [tasks[i] for i in order],
+                                        spec.threads)):
+        sels[i] = sel
     return [sels[i:i + spec.reps] for i in range(0, len(sels), spec.reps)]
 
 

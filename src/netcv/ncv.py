@@ -137,28 +137,34 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     fit = estimate_block(A, fit_rows, Nv, g_hat, candidate.K, psi_hat=psi)
     held_out = replace(fit, g_hat=fit.g_hat[Nv],
                        psi_hat=None if psi is None else fit.psi_hat[Nv])
-    A_vv = A[Nv][:, Nv]
+    A_v = A[Nv]
     if psi is None:
-        return _block_loss(kind, A_vv, held_out)
-    return _degree_corrected_loss(kind, A_vv, held_out)
+        return _block_loss(kind, A_v, Nv, held_out)
+    return _degree_corrected_loss(kind, A_v[:, Nv], held_out)
 
 
-def _block_counts(A_vv, g, k):
-    """Ordered counts among the held-out nodes by label pair: the edge
-    counts m_ab = H^T A_vv H and the pair counts n_ab over i != j."""
+def _block_counts(A_v, Nv, g, k):
+    """Ordered counts among the held-out nodes Nv by label pair, from the
+    rows A_v of A in Nv and the labels g of Nv: the edge counts
+    m_ab = H^T A_v H_Nv, with H the one-hot labels and H_Nv the n x k
+    matrix that holds H in the rows Nv and zeros elsewhere (so no column
+    slice of A_v is taken), and the pair counts n_ab over i != j."""
     H = _onehot(g, k)
+    H_Nv = np.zeros((A_v.shape[1], k))
+    H_Nv[Nv] = H
     sizes = H.sum(axis=0)
-    return H.T @ (A_vv @ H), np.outer(sizes, sizes) - np.diag(sizes)
+    return H.T @ (A_v @ H_Nv), np.outer(sizes, sizes) - np.diag(sizes)
 
 
-def _block_loss(kind, A_vv, fit):
-    """Held-out loss of a plain block model, from label-pair counts.
+def _block_loss(kind, A_v, Nv, fit):
+    """Held-out loss of a plain block model on the nodes Nv, from the rows
+    A_v of A in Nv and label-pair counts.
 
     The clamped probability B' is constant on each label pair, so the
     loss is sum_ab [m_ab L(1, B'_ab) + (n_ab - m_ab) L(0, B'_ab)]
-    (``_block_counts``): O(stored entries of A_vv + |N_v| k).
+    (``_block_counts``): O(stored entries of A_v x k + n k).
     """
-    edges, pairs = _block_counts(A_vv, fit.g_hat, fit.k)
+    edges, pairs = _block_counts(A_v, Nv, fit.g_hat, fit.k)
     p = clamp_probs(fit.B_hat)
     return float((edges * _loss_array(kind, 1.0, p)
                   + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())

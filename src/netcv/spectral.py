@@ -24,8 +24,13 @@ that is not the median.
 
 Both clusterers keep the best of ``_RESTARTS`` seeded restarts.  All
 start centers are drawn first, in restart order (the runs draw no random
-numbers); the runs then go in lockstep, each pass assigning and updating
-every run not yet settled.  Each run does the arithmetic of a run on its
+numbers), and in lockstep: every restart's k-means++ draws are taken in
+the order of seeding one restart after another, then the distance
+weights of all restarts are updated together.  A restart whose weights
+sum to 0 would draw an index in place of a uniform, so then the
+restarts are seeded one by one from the saved generator state.  The
+runs then go in lockstep, each pass assigning and updating every run
+not yet settled.  Each run does the arithmetic of a run on its
 own, and the first run with the smallest objective wins, so the result
 is that of sequential restarts that replace the best only on a strictly
 smaller objective.
@@ -133,6 +138,39 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool
     return centers
 
 
+def _seed_runs(X: np.ndarray, k: int, runs: int, rng: np.random.Generator,
+               squared: bool) -> np.ndarray:
+    """``runs`` calls of ``_seed_centers`` in lockstep: start centers
+    (runs, k, d) with the bits of those calls, and the generator left in
+    the same state.  Each run's draws come first, in the calls' order
+    (its first index, then one uniform per further center); the k-means++
+    updates then go on (runs, n) arrays, the distances summed column by
+    column as in ``_nearest``.  A run whose weights sum to 0 would draw
+    an index in place of its uniform, so then the calls run one by one
+    from the saved generator state."""
+    n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    state = rng.bit_generator.state
+    picks = np.empty((runs, k), dtype=np.intp)
+    u = np.empty((runs, k - 1))
+    for r in range(runs):
+        picks[r, 0] = rng.integers(n)
+        u[r] = rng.random(k - 1)
+    for c in range(1, k):
+        d = _center_dist(XT, X[picks[:, c - 1]])
+        dmin = d if c == 1 else np.minimum(dmin, d, out=dmin)
+        w = dmin**2 if squared else dmin
+        total = w.sum(axis=1)
+        if not (total > 0.0).all():
+            rng.bit_generator.state = state
+            return np.stack([_seed_centers(X, k, rng, squared) for _ in range(runs)])
+        # the draw of rng.choice(n, p=w / total): the count of cdf entries <= u
+        cdf = np.cumsum(w / total[:, None], axis=1)
+        cdf /= cdf[:, -1:].copy()
+        picks[:, c] = (cdf <= u[:, c - 1:c]).sum(axis=1)
+    return X[picks]
+
+
 def _dist(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis (width >= 1), the squares summed
     column by column in order."""
@@ -142,23 +180,29 @@ def _dist(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
+def _center_dist(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Distances (runs, n) from the points to one center per run, for C
+    (runs, d) and ``XT = X.T``: the bits of ``_dist(X - C[r])``, summed
+    column by column with no (runs, n, d) array."""
+    s = (XT[0] - C[:, :1]) ** 2
+    for t in range(1, C.shape[1]):
+        s += (XT[t] - C[:, t:t + 1]) ** 2
+    return np.sqrt(s, out=s)
+
+
 def _nearest(XT: np.ndarray, centers: np.ndarray):
     """Nearest-center labels (0-based; ties to the lowest index, kept by a
     running strict ``<``) and distances, each (runs, n), for centers
     (runs, k, d) and ``XT = X.T`` C-contiguous: the bits of ``_dist`` on
     ``X[:, None, :] - centers[r]``, summed column by column from ``XT``."""
-    runs, k, d = centers.shape
+    runs, k, _ = centers.shape
     labels = np.zeros((runs, XT.shape[1]), dtype=np.intp)
     for j in range(k):
-        s = (XT[0] - centers[:, j, :1]) ** 2
-        for t in range(1, d):
-            s += (XT[t] - centers[:, j, t:t + 1]) ** 2
-        dj = np.sqrt(s)
+        dj = _center_dist(XT, centers[:, j])
         if j == 0:
             dist = dj
         else:
-            closer = dj < dist
-            labels[closer] = j
+            np.putmask(labels, dj < dist, j)
             np.minimum(dist, dj, out=dist)
     return labels, dist
 
@@ -172,8 +216,9 @@ def _repair_empty(X, centers, labels, dist):
     runs, k, _ = centers.shape
     counts = np.bincount((labels + k * np.arange(runs)[:, None]).ravel(), minlength=runs * k)
     moved = np.zeros(runs, dtype=bool)
-    d = dist.copy()
-    for r, c in np.argwhere(counts.reshape(runs, k) == 0):
+    empty = np.argwhere(counts.reshape(runs, k) == 0)
+    d = dist.copy() if empty.size else dist  # marked below, so never the caller's
+    for r, c in empty:
         idx = int(np.argmax(d[r]))
         if d[r, idx] < _ZERO_ROW_TOL:
             continue
@@ -191,8 +236,11 @@ def _means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
     runs, k, d = centers.shape
     bins = (labels + k * np.arange(runs)[:, None]).ravel()
     counts = np.bincount(bins, minlength=runs * k)
-    sums = np.stack([np.bincount(bins, np.tile(X[:, j], runs), runs * k)
-                     for j in range(d)], axis=1)
+    sums = np.empty((runs * k, d))
+    weights = np.empty(labels.shape)  # one coordinate of every run's points
+    for j in range(d):
+        weights[:] = X[:, j]
+        sums[:, j] = np.bincount(bins, weights.ravel(), runs * k)
     full = counts > 0
     centers.reshape(runs * k, d)[full] = sums[full] / counts[full, None]
 
@@ -239,7 +287,7 @@ def _cluster(X, k: int, rng: np.random.Generator, update, squared: bool) -> Clus
     X = np.asarray(X, dtype=float)
     if X.shape[0] < k or X.shape[1] < 1:
         raise ValueError(f"need at least k={k} rows and one column, got shape {X.shape}")
-    seeds = np.stack([_seed_centers(X, k, rng, squared=squared) for _ in range(_RESTARTS)])
+    seeds = _seed_runs(X, k, _RESTARTS, rng, squared)
     labels, centers, objectives = _alternate(X, seeds, update, squared)
     best = int(np.argmin(objectives))
     return ClusterResult(labels[best] + 1, centers[best].copy(), float(objectives[best]))

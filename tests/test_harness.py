@@ -185,6 +185,22 @@ def test_replicate_error_reaches_the_caller(where, monkeypatch, failing_in):
         run_sim1(small_spec(reps=2, threads=2))
 
 
+def test_replicates_queue_costliest_first_and_keep_their_rows(monkeypatch):
+    # the K=3 cell has the longer candidate list, so its replicates go
+    # first; each replicate selects its cell's true K only at rep 0, so a
+    # selection put back in the wrong row changes the counts
+    queued = []
+
+    def select(spec, candidates, sim, key, rep, params_of):
+        queued.append((key, rep))
+        return netcv.ncv.Candidate("sbm", key[0] if rep == 0 else 1)
+
+    monkeypatch.setattr(netcv.harness, "_select_rep", select)
+    table = run_sim2(small_spec(which="sim2", K=(2, 3), reps=3, threads=1))
+    assert queued == [((3,), 0), ((3,), 1), ((3,), 2), ((2,), 0), ((2,), 1), ((2,), 2)]
+    assert [(row["K"], row["successes"]) for row in table.rows] == [(2, 1), (3, 1)]
+
+
 def test_replicates_run_their_selects_in_sequence(monkeypatch):
     threads = []
     real = netcv.harness.ncv_select

@@ -147,8 +147,8 @@ def test_block_counts_match_a_pair_loop():
         A = A + A.T
         g = rng.integers(1, k + 1, size=n)
         Nv = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        A_vv = scipy.sparse.csr_array(A)[Nv][:, Nv]
-        edges, pairs = _block_counts(A_vv, g[Nv], k)
+        A_v = scipy.sparse.csr_array(A)[Nv]
+        edges, pairs = _block_counts(A_v, Nv, g[Nv], k)
         m_ref = np.zeros((k, k))
         n_ref = np.zeros((k, k))
         for i in Nv:
@@ -496,6 +496,30 @@ def test_squared_fold_loss_bounded(seed):
                             "squared", np.random.default_rng(seed))
     m = len(partition[0])
     assert 0.0 <= val <= m * (m - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(6, 60), density=st.floats(0.0, 0.3), V=st.integers(2, 6),
+       kmax=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_select_on_small_sparse_graphs_reports_or_refuses(n, density, V, kmax, seed):
+    # either a report whose totals are finite sums of its fold losses, or
+    # one of the refusals ncv_select documents; a k-median run that cycles
+    # may log its cap warning
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.random((n, n)) < density, 1).astype(np.int8)
+    candidates = candidate_grid(("sbm", "dcbm"), kmax)
+    try:
+        rep = ncv_select(A + A.T, candidates, V=V, seed=seed, threads=1)
+    except ValueError as exc:
+        assert str(exc).endswith("need at least 2") or "exceeds fitting rows" in str(exc)
+        sizes = [len(f) for f in partition_nodes(n, V, np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(0,))))]
+        assert min(sizes) < 2 or kmax > n - max(sizes)
+        return
+    assert rep.candidates == candidates
+    for fold_losses, total in zip(rep.fold_losses, rep.totals):
+        assert len(fold_losses) == V and all(np.isfinite(fold_losses))
+        assert np.isfinite(total) and total == sum(fold_losses)
 
 
 # ---------------------------------------------------------------- repeats

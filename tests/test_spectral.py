@@ -1,6 +1,7 @@
 """Truncated SVD and the two clustering routines."""
 
 import logging
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -16,7 +17,7 @@ from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
 from netcv.spectral import (_alternate, _dist, _geometric_medians, _means, _nearest,
                             _newton_step,
-                            _seed_centers, _weiszfeld, geometric_median, kmeans,
+                            _seed_centers, _seed_runs, _weiszfeld, geometric_median, kmeans,
                             kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
@@ -599,6 +600,44 @@ def test_seed_centers_draw_as_rng_choice():
             got = _seed_centers(X, k, got_rng, squared)
             assert got.tobytes() == choice_seed_reference(X, k, ref_rng, squared).tobytes()
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_lockstep_seeding_draws_as_rng_choice(monkeypatch):
+    # n above 20,000 sums each run's weights over several pairwise blocks;
+    # repeated rows weigh 0, so some runs run out of weight and every run
+    # is seeded again one by one from the saved generator state
+    fallbacks = set()
+    monkeypatch.setattr(netcv.spectral, "_seed_centers",
+                        lambda *args: fallbacks.add(case) or _seed_centers(*args))
+    rng = np.random.default_rng(42)
+    for case in range(160):
+        n = int(rng.integers(20_001, 25_014)) if case % 20 == 0 else int(rng.integers(2, 400))
+        distinct = rng.standard_normal((int(rng.integers(1, n + 1)), int(rng.integers(1, 7))))
+        X = distinct[rng.integers(len(distinct), size=n)]
+        k, squared = int(rng.integers(1, min(n, 6) + 1)), bool(case % 2)
+        runs = int(rng.integers(1, 11))
+        got_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        got = _seed_runs(X, k, runs, got_rng, squared)
+        ref = [choice_seed_reference(X, k, ref_rng, squared) for _ in range(runs)]
+        assert got.tobytes() == np.stack(ref).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert 0 < len(fallbacks) < 160
+
+
+def test_kmeans_memory_stays_within_a_few_run_arrays():
+    # the traced peak is about 2.25 MiB, a few (runs, n) arrays of 0.25 MiB
+    # each at 10 runs and n = 3,300; a (runs, n, d) seeding array or a
+    # whole-coordinate tile in the update would add 1 MiB
+    rng = np.random.default_rng(3)
+    X = np.linalg.qr(rng.standard_normal((3300, 4)))[0]
+    kmeans(X, 4, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        kmeans(X, 4, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5, f"peak {peak:.2f} MiB"
 
 
 @pytest.mark.parametrize("index", range(8))
