@@ -9,12 +9,12 @@ entry is the edge count over observed pairs divided by the sum of
 activeness products over the same pairs, which is the pair count when
 there is no psi_hat.
 
-The adjacency argument may be a SciPy CSR array or a dense matrix; the
-same row slice and product serve both, and no column slice is taken.
-Only the rows indexed by N1 are read, so on CSR the sums cost
-O(stored entries in those rows x k + n k).  It may also hold
-floats: feeding the population edge-probability matrix recovers the
-model parameters exactly, which the tests rely on.
+The adjacency argument may be a SciPy CSR array or a dense matrix; one
+product of the whole matrix with 2k label columns serves both, and its
+rows indexed by N1 give the sums, so no slice of the adjacency is
+built and on CSR the sums cost O(stored entries x k + n k).  It may
+also hold floats: feeding the population edge-probability matrix
+recovers the model parameters exactly, which the tests rely on.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
 
     Returns (Num, Den): Num[a, b] is the sum of A_ij over unordered
     observed pairs with labels {a+1, b+1}; Den is ``_pair_counts``.
-    With H the one-hot label matrix, H1 its rows in N1, A1 the rows of A
-    in N1 (CSR or dense) and 1_N1 the indicator of N1, one product
-    A1 [H | diag(1_N1) H] gives the ordered sums H1^T A1 H (source in N1)
-    and H1^T A1 diag(1_N1) H (both ends in N1), with no column slice of
-    A1.  On a 0/1 matrix every partial sum is an integer, so Num is
-    exact.
+    With H the one-hot label matrix, H1 its rows in N1 and 1_N1 the
+    indicator of N1, the rows N1 of one product A [H | diag(1_N1) H]
+    (A CSR or dense) give the ordered sums H1^T A1 H (source in N1) and
+    H1^T A1 diag(1_N1) H (both ends in N1), where A1 is the rows of A in
+    N1; no slice of A is taken.  On a 0/1 matrix every partial sum is an
+    integer, so Num is exact.
     """
     N1 = np.asarray(N1, dtype=np.int64)
     g = np.asarray(g)
@@ -72,7 +72,7 @@ def _pair_sums(A, N1, N2, g, k, weights=None):
     both = np.zeros((g.size, 2 * k))
     both[:, :k] = H
     both[N1, k:] = H1
-    AH = A[N1] @ both
+    AH = (A @ both)[N1]
     S = H1.T @ AH[:, :k]     # ordered sums, source in N1
     S11 = H1.T @ AH[:, k:]   # ordered sums within N1
     # self-pairs are never observed pairs

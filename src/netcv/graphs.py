@@ -44,20 +44,23 @@ def check_adjacency(A) -> csr_array:
         A = csr_array(A).astype(float)
         A.sum_duplicates()
         A.eliminate_zeros()
+    if not np.all(A.data == 1.0):
+        raise ValueError("adjacency entries must be 0 or 1")
     if not _is_symmetric(A):
         raise ValueError("adjacency matrix must be symmetric")
     if A.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")
-    if not np.all(A.data == 1.0):
-        raise ValueError("adjacency entries must be 0 or 1")
     return A
 
 
 def _is_symmetric(A: csr_array) -> bool:
-    """Whether a canonical CSR array equals its transpose, entry for entry."""
-    T = A.T.tocsr()
-    return (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
-            and np.array_equal(A.data, T.data))
+    """Whether a canonical CSR array whose stored values are all equal has
+    a symmetric pattern: its index arrays are compared with those of the
+    transpose of an int8 copy of the pattern."""
+    pattern = csr_array((np.ones(A.nnz, dtype=np.int8), A.indices, A.indptr),
+                        shape=A.shape)
+    T = pattern.T.tocsr()
+    return np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
 
 
 def check_membership(g: np.ndarray, k: int) -> None:

@@ -10,10 +10,12 @@ is the special case psi = 1).
 ``sample`` draws a graph straight into the canonical float CSR array
 that ``netcv.graphs.check_adjacency`` passes through as is.  It draws
 one uniform per node pair i < j in row-major order, one block of rows
-at a time, so memory is O(edges + one block); the draws are those of
-one ``rng.random`` call over the whole upper triangle of
-``expected_P``, which is the n x n population matrix and is built
-only on request.
+at a time; the draws are those of one ``rng.random`` call over the
+whole upper triangle of ``expected_P``, which is the n x n population
+matrix and is built only on request.  Only the pairs whose uniform
+falls below the largest edge probability can be edges, so only those
+are mapped to (row, column) and compared with their own probability:
+memory is O(edges + one block of uniforms).
 
 Also provides the parameter constructors used by the three scripted
 experiment designs in :mod:`netcv.harness`.
@@ -144,19 +146,24 @@ def sample(params, rng: np.random.Generator) -> csr_array:
     are those of one ``rng.random`` call against the upper triangle of
     ``expected_P``, but memory is O(edges + one block), never n x n.
     """
-    if _max_probability(params) > 1.0:
+    p_max = _max_probability(params)
+    if p_max > 1.0:
         raise ValueError("edge probabilities outside [0, 1] (psi_i psi_j B > 1?)")
-    U = _upper_triangle(params, rng)
+    U = _upper_triangle(params, p_max, rng)
     return U + U.T
 
 
-def _upper_triangle(params, rng: np.random.Generator) -> csr_array:
+def _upper_triangle(params, p_max: float, rng: np.random.Generator) -> csr_array:
     """Edges i < j of one draw, as CSR.
 
     The pairs are drawn in row-major order, one block of whole rows at a
     time (at most ``_BLOCK_PAIRS`` pairs, or one longer row), and edge
     (i, j) is drawn where its uniform falls below
     ``B[g_i, g_j] * (psi_i * psi_j)``, the product ``expected_P`` forms.
+    No such product exceeds ``p_max`` (``_max_probability``), so only the
+    pairs whose uniform falls below ``p_max`` are mapped to (row, column)
+    and compared with their own probability; no array but the uniforms and
+    that one comparison spans the block.
     """
     n = params.n
     g = params.g - 1
@@ -168,12 +175,15 @@ def _upper_triangle(params, rng: np.random.Generator) -> csr_array:
     while start < n - 1:
         stop = max(int(np.searchsorted(ends, ends[start] + _BLOCK_PAIRS, "right")) - 1,
                    start + 1)
-        rows = np.repeat(np.arange(start, stop), np.arange(n - 1 - start, n - 1 - stop, -1))
-        cols = np.arange(ends[start], ends[stop]) - ends[rows] + rows + 1
+        u = rng.random(ends[stop] - ends[start])
+        near = np.flatnonzero(u < p_max)  # pair offsets within the block
+        pair = near + ends[start]
+        rows = np.searchsorted(ends[start:stop], pair, "right") + (start - 1)
+        cols = pair - ends[rows] + rows + 1
         P = params.B[g[rows], g[cols]]
         if psi is not None:
             P = P * (psi[rows] * psi[cols])
-        hits = np.flatnonzero(rng.random(rows.size) < P)
+        hits = u[near] < P
         counts[start:stop] = np.bincount(rows[hits] - start, minlength=stop - start)
         hit_cols.append(cols[hits].astype(np.int32))
         start = stop

@@ -36,11 +36,12 @@ _LOSS_ALIASES = {"l2": "squared", "squared": "squared",
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
 _LOSS_BLOCK = 1 << 18  # entries of one row chunk of the degree-corrected held-out loss
 
-# Inputs of each running select, by run key: (A, partition, kmax, kind,
-# seed).  An entry is set before the select's workers fork, so that they
-# inherit the adjacency and the partition instead of unpickling them, and
-# it is removed when the cells are done.  The key keeps selects run from
-# several threads of one process apart.
+# Inputs of each running select, by run key: (A, partition, fit_rows,
+# kmax, kind, seed), where fit_rows[v] holds the sorted nodes outside fold
+# v.  An entry is set before the select's workers fork, so that they
+# inherit the adjacency, the partition and the fitting rows instead of
+# unpickling them, and it is removed when the cells are done.  The key
+# keeps selects run from several threads of one process apart.
 _RUNNING = {}
 _RUN_KEYS = itertools.count()
 
@@ -111,7 +112,7 @@ class NcvReport:
 
 
 def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
-                      rng: np.random.Generator, basis=None) -> float:
+                      rng: np.random.Generator, basis=None, fit_rows=None) -> float:
     """Predictive loss of one candidate on one fold.
 
     Fits on the rectangle of rows outside N_v, then sums the loss over
@@ -119,14 +120,16 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     symmetry; the argmin is unaffected).  A is a 0/1 adjacency as a
     CSR array, the form ``check_adjacency`` returns.  A precomputed
     SingularBasis of the rectangle may be passed to share the SVD across
-    candidates.
+    candidates, and so may the rectangle's rows, the sorted nodes outside
+    N_v, to share them across the fold's cells.
     """
     check_candidate(candidate)
     kind = canonical_loss(fn)
     Nv = np.asarray(partition[v], dtype=np.int64)
     if Nv.size < 2:
         raise ValueError(f"fold {v} has {Nv.size} node(s); need at least 2")
-    fit_rows = np.setdiff1d(np.arange(A.shape[0]), Nv)
+    if fit_rows is None:
+        fit_rows = np.setdiff1d(np.arange(A.shape[0]), Nv)
     rect = A[fit_rows] if basis is None else None
     if candidate.model == "sbm":
         g_hat = spectral_cluster_rect(rect, candidate.K, rng, basis=basis)
@@ -137,34 +140,34 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     fit = estimate_block(A, fit_rows, Nv, g_hat, candidate.K, psi_hat=psi)
     held_out = replace(fit, g_hat=fit.g_hat[Nv],
                        psi_hat=None if psi is None else fit.psi_hat[Nv])
-    A_v = A[Nv]
     if psi is None:
-        return _block_loss(kind, A_v, Nv, held_out)
-    return _degree_corrected_loss(kind, A_v[:, Nv], held_out)
+        return _block_loss(kind, A, Nv, held_out)
+    return _degree_corrected_loss(kind, A[Nv][:, Nv], held_out)
 
 
-def _block_counts(A_v, Nv, g, k):
+def _block_counts(A, Nv, g, k):
     """Ordered counts among the held-out nodes Nv by label pair, from the
-    rows A_v of A in Nv and the labels g of Nv: the edge counts
-    m_ab = H^T A_v H_Nv, with H the one-hot labels and H_Nv the n x k
-    matrix that holds H in the rows Nv and zeros elsewhere (so no column
-    slice of A_v is taken), and the pair counts n_ab over i != j."""
+    adjacency A and the labels g of Nv: the edge counts
+    m_ab = H^T A_v H_Nv, with H the one-hot labels, A_v the rows of A in
+    Nv (read as the rows Nv of A H_Nv, so no slice of A is built) and
+    H_Nv the n x k matrix that holds H in the rows Nv and zeros
+    elsewhere, and the pair counts n_ab over i != j."""
     H = _onehot(g, k)
-    H_Nv = np.zeros((A_v.shape[1], k))
+    H_Nv = np.zeros((A.shape[1], k))
     H_Nv[Nv] = H
     sizes = H.sum(axis=0)
-    return H.T @ (A_v @ H_Nv), np.outer(sizes, sizes) - np.diag(sizes)
+    return H.T @ (A @ H_Nv)[Nv], np.outer(sizes, sizes) - np.diag(sizes)
 
 
-def _block_loss(kind, A_v, Nv, fit):
-    """Held-out loss of a plain block model on the nodes Nv, from the rows
-    A_v of A in Nv and label-pair counts.
+def _block_loss(kind, A, Nv, fit):
+    """Held-out loss of a plain block model on the nodes Nv of the
+    adjacency A, from label-pair counts.
 
     The clamped probability B' is constant on each label pair, so the
     loss is sum_ab [m_ab L(1, B'_ab) + (n_ab - m_ab) L(0, B'_ab)]
-    (``_block_counts``): O(stored entries of A_v x k + n k).
+    (``_block_counts``): O(stored entries of A x k + n k).
     """
-    edges, pairs = _block_counts(A_v, Nv, fit.g_hat, fit.k)
+    edges, pairs = _block_counts(A, Nv, fit.g_hat, fit.k)
     p = clamp_probs(fit.B_hat)
     return float((edges * _loss_array(kind, 1.0, p)
                   + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())
@@ -323,17 +326,17 @@ def _claim_tasks(fn, tasks, claimed=None):
 def _fold_basis(key, v):
     """Fold SVD of the running select ``key`` (see ``_RUNNING``): the
     top-kmax right singular basis of the rows outside fold v."""
-    A, partition, kmax, _, _ = _RUNNING[key]
-    fit_rows = np.setdiff1d(np.arange(A.shape[0]), partition[v])
-    return top_k_right_singular(_FitRows(A[fit_rows]), kmax)
+    A, _, fit_rows, kmax, _, _ = _RUNNING[key]
+    return top_k_right_singular(_FitRows(A[fit_rows[v]]), kmax)
 
 
 def _cell_loss(key, candidate, v, basis):
     """Held-out loss of one (candidate, fold) cell of the running select
     ``key`` (see ``_RUNNING``), given the fold's basis."""
-    A, partition, _, kind, seed = _RUNNING[key]
+    A, partition, fit_rows, _, kind, seed = _RUNNING[key]
     return fold_fit_validate(A, partition, v, candidate, kind,
-                             _cell_rng(seed, candidate, v), basis=basis)
+                             _cell_rng(seed, candidate, v), basis=basis,
+                             fit_rows=fit_rows[v])
 
 
 def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
@@ -393,7 +396,8 @@ def _select(A, candidates, V, fn, seed, threads=None) -> NcvReport:
                    key=lambda i: (-candidates[i].K, -_MODEL_ORDER[candidates[i].model]))
     cells = [(i, v) for i in order for v in range(V)]
     key = next(_RUN_KEYS)
-    _RUNNING[key] = (A, partition, kmax, kind, seed)
+    fit_rows = [np.setdiff1d(np.arange(n), Nv) for Nv in partition]
+    _RUNNING[key] = (A, partition, fit_rows, kmax, kind, seed)
     try:
         with _processes(threads, len(cells)) as run:
             # one decomposition per fold, shared by every candidate; the

@@ -211,6 +211,24 @@ def test_sample_equals_dense_reference_on_sim3(model):
     assert_sample_matches_dense(sim3_params(401, 3, model, rng), 18)
 
 
+@pytest.mark.parametrize("degree_corrected", [False, True])
+@pytest.mark.parametrize("B", [
+    [[0.0, 0.0], [0.0, 0.0]],    # p_max = 0: no pair passes the screen
+    [[1.0, 0.3], [0.3, 0.6]],    # p_max = 1: every pair takes the exact path
+])
+@pytest.mark.parametrize("block", [7, 64])
+def test_sample_equals_dense_reference_at_p_max_0_and_1(degree_corrected, B, block):
+    g = np.repeat([1, 2], [23, 18])
+    if degree_corrected:  # every psi at its block maximum, 1
+        params = DcbmParams(g=g, k=2, B=np.array(B), psi=np.ones(g.size))
+    else:
+        params = SbmParams(g=g, k=2, B=np.array(B))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcv.models, "_BLOCK_PAIRS", block)
+        for seed in range(3):
+            assert_sample_matches_dense(params, seed)
+
+
 def test_sample_rejects_a_probability_above_one_on_the_diagonal_only():
     g = np.array([1, 2])
     B = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -249,6 +267,19 @@ def test_sample_memory_is_bounded_by_edges():
         tracemalloc.stop()
     assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert 150_000 < A.nnz // 2 < 180_000
+
+
+def test_sample_holds_no_pair_arrays_but_the_uniforms():
+    # about 1.4 MiB: index, probability and product arrays over every pair
+    # of a 65,536-pair block peaked at 3.1 MiB
+    p = sim1_params(600, 3, 200, 0.05)
+    tracemalloc.start()
+    try:
+        sample(p, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------- helpers

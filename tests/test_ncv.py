@@ -147,8 +147,7 @@ def test_block_counts_match_a_pair_loop():
         A = A + A.T
         g = rng.integers(1, k + 1, size=n)
         Nv = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        A_v = scipy.sparse.csr_array(A)[Nv]
-        edges, pairs = _block_counts(A_v, Nv, g[Nv], k)
+        edges, pairs = _block_counts(scipy.sparse.csr_array(A), Nv, g[Nv], k)
         m_ref = np.zeros((k, k))
         n_ref = np.zeros((k, k))
         for i in Nv:
@@ -158,6 +157,28 @@ def test_block_counts_match_a_pair_loop():
                     n_ref[g[i] - 1, g[j] - 1] += 1
         assert np.array_equal(edges, m_ref)
         assert np.array_equal(pairs, n_ref)
+
+
+def test_sbm_select_slices_only_the_fold_rows(monkeypatch):
+    # the cells count their pairs from products with the whole adjacency,
+    # so the fold SVDs' row slices are the only CSR slices a select builds
+    A = check_adjacency(planted_A(90, seed=3, p_in=0.5, p_out=0.05)[0])
+    seed, V = 4, 3
+    partition = partition_nodes(90, V, np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(0,))))
+    keys = []
+    getitem = scipy.sparse.csr_array.__getitem__
+
+    def spy(self, key):
+        keys.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "__getitem__", spy)
+    rep = ncv_select(A, candidate_grid(["sbm"], 3), V=V, seed=seed, threads=1)
+    assert rep.selected == Candidate("sbm", 2)
+    assert len(keys) == V
+    for key, Nv in zip(keys, partition):
+        assert np.array_equal(key, np.setdiff1d(np.arange(90), Nv))
 
 
 @settings(max_examples=60, deadline=None)
