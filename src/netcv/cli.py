@@ -1,7 +1,8 @@
 """Command-line frontend: model selection, graph simulation, benchmarks.
 
 Machine-readable output (JSON report or CSV table) goes to stdout or
-the requested file; human-readable summaries go to stderr.  All
+the requested file; human-readable summaries, and with -v/--verbose the
+library's log lines (-v: info, -vv: debug), go to stderr.  All
 randomness flows from --seed (falling back to the NCV_SEED environment
 variable); when neither is given a fresh seed is generated and printed
 so the run can be repeated.
@@ -10,6 +11,7 @@ so the run can be repeated.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -101,7 +103,8 @@ def cmd_bench(args):
     seed = _resolve_seed(args)
     if args.which == "polblogs":
         table, curves = run_polblogs(args.input, reps=args.reps, V=args.folds,
-                                     seed=seed, loss=args.loss, kmax=args.kmax)
+                                     seed=seed, loss=args.loss, kmax=args.kmax,
+                                     threads=args.threads)
         _write_text(table.csv_text(), args.out)
         if args.curves is not None:
             write_loss_curves_csv(curves, args.curves)
@@ -125,8 +128,11 @@ def build_parser():
         description="Community-count and block-model selection for networks "
                     "by V-fold cross-validation on node-pair splits.")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-v", "--verbose", action="count", default=0,
+                        help="write the library's log lines to stderr: -v info, -vv debug")
 
-    ps = sub.add_parser("select", help="pick (model, K) for one network")
+    ps = sub.add_parser("select", parents=[common], help="pick (model, K) for one network")
     ps.add_argument("--input", required=True, help="edge list file (two ids per line)")
     ps.add_argument("--kmax", type=int, default=6)
     ps.add_argument("--folds", type=int, default=3)
@@ -141,7 +147,7 @@ def build_parser():
     ps.add_argument("--output", default=None, help="JSON report path (default stdout)")
     ps.set_defaults(func=cmd_select)
 
-    pm = sub.add_parser("simulate", help="sample a block-model graph")
+    pm = sub.add_parser("simulate", parents=[common], help="sample a block-model graph")
     pm.add_argument("model", choices=["sbm", "dcbm"])
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--k", type=int, required=True)
@@ -156,7 +162,7 @@ def build_parser():
     pm.add_argument("--output", default="sample_edges.txt")
     pm.set_defaults(func=cmd_simulate)
 
-    pb = sub.add_parser("bench", help="run a benchmark experiment")
+    pb = sub.add_parser("bench", parents=[common], help="run a benchmark experiment")
     pb.add_argument("which", choices=["sim1", "sim2", "sim3", "polblogs"])
     pb.add_argument("--n", type=int, default=1000)
     pb.add_argument("--k", type=_int_list, default=(2,), help="comma list of true K")
@@ -175,9 +181,9 @@ def build_parser():
     pb.add_argument("--seed", type=int, default=None)
     pb.add_argument("--threads", type=int, default=None,
                     help="sim1/sim2/sim3: run up to this many replicates at "
-                         "once, in processes (default: every usable CPU; 1: in "
-                         "sequence); the table does not depend on it.  polblogs "
-                         "ignores it and runs each select on every usable CPU")
+                         "once; polblogs: run each select's cells on up to this "
+                         "many processes (default: every usable CPU; 1: in "
+                         "sequence); the table does not depend on it")
     pb.add_argument("--out", default=None, help="CSV path (default stdout)")
     pb.add_argument("--json", default=None, help="also write the table as JSON here")
     pb.set_defaults(func=cmd_bench)
@@ -187,6 +193,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    log, handler = logging.getLogger("netcv"), None
+    level = log.level
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -198,6 +211,10 @@ def main(argv=None):
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if handler is not None:
+            log.removeHandler(handler)
+            log.setLevel(level)
 
 
 if __name__ == "__main__":

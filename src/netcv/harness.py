@@ -235,13 +235,14 @@ POLBLOGS_HINT = ("edge list not found at {path}; fetch the political blogs "
 
 
 def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
-                 loss: str = "negloglik", kmax: int = 6):
+                 loss: str = "negloglik", kmax: int = 6, threads: int | None = None):
     """Model selection on the political-blogs network.
 
     Restricts to the largest connected component, repeats selection
-    over independent splittings, and returns (SuccessTable of selection
-    frequencies, loss curves from the first splitting as a list of
-    {model, K, total_loss} rows).
+    over independent splittings, each on up to ``threads`` processes (see
+    ``ncv_select``), and returns (SuccessTable of selection frequencies,
+    loss curves from the first splitting as a list of {model, K,
+    total_loss} rows).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(POLBLOGS_HINT.format(path=path))
@@ -249,7 +250,7 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
     A_lcc, kept = largest_connected_component(A)
     logger.info("largest connected component: %d of %d nodes", kept.size, A.shape[0])
     candidates = candidate_grid(("sbm", "dcbm"), kmax)
-    result = repeat_ncv(A_lcc, candidates, V, loss, reps, master_seed=seed)
+    result = repeat_ncv(A_lcc, candidates, V, loss, reps, master_seed=seed, threads=threads)
     cols = ["which", "n_lcc", "model", "K", "count", "freq", "reps", "seed"]
     table = SuccessTable("polblogs", seed, cols)
     for cand in candidates:

@@ -429,17 +429,19 @@ class RepeatResult(NamedTuple):
 
 
 def repeat_ncv(A, candidates, V: int, fn: str, reps: int,
-               master_seed) -> RepeatResult:
+               master_seed, threads: int | None = None) -> RepeatResult:
     """Run ncv_select under `reps` independent node splittings, one after
-    another (each on every usable CPU), and tabulate how often each
-    candidate is selected.  A is checked and converted once, before the
-    first rep."""
+    another (each on up to ``threads`` processes, as in ``ncv_select``),
+    and tabulate how often each candidate is selected.  A is checked and
+    converted once, before the first rep."""
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     rep_seeds = [int(s) for s in
                  np.random.SeedSequence(master_seed).generate_state(reps, dtype=np.uint64)]
     A = check_adjacency(A)
-    reports = [_select(A, candidates, V, fn, s) for s in rep_seeds]
+    reports = [_select(A, candidates, V, fn, s, threads) for s in rep_seeds]
     selections = [r.selected for r in reports]
     counts = {}
     for sel in selections:

@@ -34,6 +34,15 @@ not yet settled.  Each run does the arithmetic of a run on its
 own, and the first run with the smallest objective wins, so the result
 is that of sequential restarts that replace the best only on a strictly
 smaller objective.
+
+A pass assigns the points from a screen: one small matrix product per
+center gives ||c||^2 - 2 x.c for every point of every run, and a running
+best and runner-up pick the labels.  A point whose runner-up is within a
+rounding bound of its best, or not finite, is decided by the exact
+distances, summed column by column; so are the distances a run needs
+when it stops (its objective), when it has an empty cluster (the repair)
+and at ``max_iter``.  The labels are thus those of the exact distances,
+whatever order BLAS sums the products in.
 """
 
 from __future__ import annotations
@@ -207,18 +216,96 @@ def _nearest(XT: np.ndarray, centers: np.ndarray):
     return labels, dist
 
 
-def _repair_empty(X, centers, labels, dist):
-    """Reseed each empty cluster of each run, in cluster order, at the point
-    farthest from its run's current center, in place.  Returns per run
-    whether a center moved (if none did, the next update changes nothing).
-    A run whose points all sit within ``_ZERO_ROW_TOL`` of a center has
-    nothing left to split off, so its empty clusters stay empty."""
-    runs, k, _ = centers.shape
-    counts = np.bincount((labels + k * np.arange(runs)[:, None]).ravel(), minlength=runs * k)
-    moved = np.zeros(runs, dtype=bool)
-    empty = np.argwhere(counts.reshape(runs, k) == 0)
-    d = dist.copy() if empty.size else dist  # marked below, so never the caller's
-    for r, c in empty:
+# The screen in ``_labels`` ranks the centers of a point x by
+# s_j = ||c_j||^2 - 2 x.c_j = ||x - c_j||^2 - ||x||^2, one product of
+# (x, 1) with (-2 c_j, ||c_j||^2), and trusts its pick when the runner-up's
+# s exceeds the best's by more than
+#     tol = 8 (d + 4) eps (||x||^2 + max_j ||c_j||^2 + tiny),
+# with eps = 2^-52 and tiny the smallest normal float.  Write m for
+# ||x||^2 + max_j ||c_j||^2.  Why tol is enough:
+# - In any summation order, with or without FMA, the product's d + 1 terms
+#   add up to at most 2 |x| |c_j| + ||c_j||^2 <= m + ||c_j||^2, and
+#   ||c_j||^2 is itself off by at most d eps/2 of its value, so a computed
+#   s_j is off by at most (1.5 d + 1) eps m, and a gap between two centers
+#   by at most (3d + 2.1) eps m, counting the subtraction that forms it.
+# - ``_nearest`` rounds each difference, square and partial sum, which
+#   moves a squared distance (at most 2m) by at most (d + 2) eps m, and its
+#   square root may merge two values up to 4 eps m apart.  So its strict
+#   ``<`` ranks two centers as exact arithmetic does once their true gap
+#   exceeds (2d + 8.1) eps m.
+# - A screened gap above tol thus leaves a true gap above that, and both
+#   paths pick the same center: together they need (5d + 10.2) eps m,
+#   which 8 (d + 4) eps m exceeds 2 times up to d = 5 and 1.6 times at
+#   any d.  The tiny term covers the absolute error, at most eps tiny / 2
+#   each, of the few products that fall below the normal range.
+# Every other point, and every point whose gap is not finite (an overflow
+# or a NaN), is decided by ``_nearest`` itself, so no label depends on how
+# the product was summed.
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _labels(XT1: np.ndarray, centers: np.ndarray, xx: np.ndarray):
+    """The labels of ``_nearest``, (runs, n), for centers (runs, k, d),
+    ``XT1`` the (d + 1, n) C-contiguous array of ``X.T`` over a row of
+    ones and ``xx`` the squared point norms; also, per run, the number of
+    points decided by ``_nearest``.  Each center in turn takes one
+    (runs, d + 1) x (d + 1, n) product, the screen s_j above with
+    ||c_j||^2 as its last term, and a running best and runner-up pick the
+    labels; the points the screen cannot decide go to ``_nearest``, once
+    per run that has any.  The work arrays are (runs, n)."""
+    runs, k, d = centers.shape
+    n = XT1.shape[1]
+    exact = np.zeros(runs, dtype=np.intp)
+    if k == 1:
+        return np.zeros((runs, n), dtype=np.intp), exact
+    # The label is the last center whose s fell below the best so far, so
+    # a running maximum of j * (s_j < best) holds it without a masked write.
+    small = np.min_scalar_type(k - 1)
+    pick, mark = np.zeros((runs, n), dtype=small), np.empty((runs, n), dtype=small)
+    best, runner, s = np.empty((3, runs, n))
+    C = np.empty((k, runs, d + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite gaps go to _nearest
+        np.multiply(centers.transpose(1, 0, 2), -2.0, out=C[..., :d])  # exact unless inf
+        np.einsum("rjt,rjt->jr", centers, centers, out=C[..., d])
+        np.matmul(C[0], XT1, out=best)
+        for j in range(1, k):
+            np.matmul(C[j], XT1, out=s)
+            np.less(s, best, out=mark)
+            mark *= small.type(j)
+            np.maximum(pick, mark, out=pick)
+            if j == 1:
+                np.maximum(best, s, out=runner)
+            else:  # best <= runner, so min(runner, max(best, s)) is this
+                np.minimum(runner, s, out=runner)
+                np.maximum(runner, best, out=runner)
+            np.minimum(best, s, out=best)
+        gap = np.subtract(runner, best, out=runner)
+        scale = 8 * (d + 4) * _EPS
+        tol = np.add(xx * scale, (C[..., d].max(axis=0) + _TINY)[:, None] * scale, out=s)
+        sure = np.greater(gap, tol)
+        sure &= gap < np.inf
+    labels = pick.astype(np.intp)
+    if sure.all():
+        return labels, exact
+    XT = XT1[:d]
+    for r in np.flatnonzero(~sure.all(axis=1)):
+        cols = np.flatnonzero(~sure[r])
+        labels[r, cols] = _nearest(XT.take(cols, axis=1), centers[r:r + 1])[0][0]
+        exact[r] = cols.size
+    return labels, exact
+
+
+def _repair_empty(X, centers, empty, dist):
+    """Reseed each empty cluster of each run (``empty`` (runs, k)), in
+    cluster order, at the point farthest from its run's current center, in
+    place.  Returns per run whether a center moved (if none did, the next
+    update changes nothing).  A run whose points all sit within
+    ``_ZERO_ROW_TOL`` of a center has nothing left to split off, so its
+    empty clusters stay empty."""
+    moved = np.zeros(len(centers), dtype=bool)
+    d = dist.copy()  # marked below, so never the caller's
+    for r, c in np.argwhere(empty):
         idx = int(np.argmax(d[r]))
         if d[r, idx] < _ZERO_ROW_TOL:
             continue
@@ -253,31 +340,65 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
     of the runs still going, in place; the objective sums squared
     distances when ``squared``, else plain ones.  A run stops once its
     labels are unchanged and no empty-cluster repair moved a center; a
-    run still going at ``max_iter`` logs a warning.  A settled run keeps
-    the distances of its last pass, which are those to its final centers."""
+    run still going at ``max_iter`` logs a warning.
+
+    Each pass labels the points by ``_labels``, which leaves the exact
+    distances of ``_nearest`` to the few points a cheaper screen cannot
+    decide.  The distances themselves are computed, in one ``_nearest``
+    call per pass, only for the runs that need them: a run whose labels
+    did not change (its objective, should it stop) and a run with an
+    empty cluster (for the repair); a run still going at ``max_iter``
+    gets them once, after its last update.  A settled run's objective
+    is thus that of its final centers."""
     def total(dist):
         return (dist**2).sum(axis=1) if squared else dist.sum(axis=1)
-    XT = np.ascontiguousarray(X.T)
-    labels = np.full((len(centers), len(X)), -1, dtype=np.intp)
+    runs, k, _ = centers.shape
+    XT1 = np.ones((X.shape[1] + 1, X.shape[0]))
+    XT = XT1[:-1]
+    XT[:] = X.T
+    with np.errstate(over="ignore"):  # any order, and overflow: xx only scales a bound
+        xx = np.einsum("ij,ij->i", X, X)
+    labels = np.empty((runs, X.shape[0]), dtype=np.intp)
     final = np.empty_like(centers)
-    objectives = np.empty(len(centers))
-    going, moving = np.arange(len(centers)), centers.copy()
-    for _ in range(max_iter):
-        new, dist = _nearest(XT, moving)
-        on = _repair_empty(X, moving, new, dist) | (new != labels[going]).any(axis=1)
-        labels[going] = new
-        final[going[~on]] = moving[~on]
-        objectives[going[~on]] = total(dist[~on])
-        going, moving = going[on], moving[on]
+    objectives = np.empty(runs)
+    going, moving = np.arange(runs), centers.copy()
+    last = np.full((runs, X.shape[0]), -1, dtype=np.intp)  # the going runs' labels
+    passes = exact_pairs = exact_calls = 0
+    for passes in range(1, max_iter + 1):
+        new, exact = _labels(XT1, moving, xx)
+        exact_pairs += int(exact.sum())
+        exact_calls += int(np.count_nonzero(exact))
+        cells = (new + k * np.arange(len(going))[:, None]).ravel()
+        empty = (np.bincount(cells, minlength=len(going) * k) == 0).reshape(len(going), k)
+        on = (new != last).any(axis=1)
+        check = np.flatnonzero(~on | empty.any(axis=1))
+        if check.size:
+            exact_calls += 1
+            sub = moving[check]
+            dist = _nearest(XT, sub)[1]
+            if empty[check].any():
+                on[check] |= _repair_empty(X, sub, empty[check], dist)
+                moving[check] = sub
+            stop = ~on[check]
+            done = going[check[stop]]
+            labels[done] = new[check[stop]]
+            final[done] = sub[stop]
+            objectives[done] = total(dist[stop])
+        going, moving, last = going[on], moving[on], new[on]
         if going.size == 0:
             break
-        update(X, labels[going], moving)
+        update(X, last, moving)
     for _ in going:
         logger.warning("clustering of %d points into %d clusters stopped at max_iter=%d "
-                       "before the labels settled", X.shape[0], centers.shape[1], max_iter)
+                       "before the labels settled", X.shape[0], k, max_iter)
     if going.size:
+        exact_calls += 1
+        labels[going] = last
         final[going] = moving
         objectives[going] = total(_nearest(XT, moving)[1])
+    logger.debug("clustering of %d points into %d clusters (%d runs): %d passes, %d (run, "
+                 "point) pairs decided by exact distances, %d exact-distance calls",
+                 X.shape[0], k, runs, passes, exact_pairs, exact_calls)
     return labels, final, objectives
 
 

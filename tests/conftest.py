@@ -8,10 +8,11 @@ import pytest
 def failing_in():
     """``failing_in(real, where, what)`` wraps ``real`` so that it raises
     ValueError("<what> failed in the <where>") in the calling process
-    (where="caller") or in a forked worker (where="worker").  In the
-    worker case the caller's own calls first wait, for up to 30 s, until
-    a worker has failed, so the error comes from a worker however the
-    tasks are claimed."""
+    (where="caller") or in a forked worker (where="worker").  The other
+    side's calls first wait, for up to 30 s, until the failing side has
+    failed, so the error comes from where it should however the tasks are
+    claimed (a worker could otherwise take every task before the caller
+    takes one)."""
     def make(real, where, what):
         caller = os.getpid()
         failed = multiprocessing.get_context("fork").Event()
@@ -21,8 +22,8 @@ def failing_in():
             if in_caller == (where == "caller"):
                 failed.set()
                 raise ValueError(f"{what} failed in the {where}")
-            if in_caller and not failed.wait(30):
-                failed.set()  # no worker failed: stop holding the caller
+            if not failed.wait(30):
+                failed.set()  # nothing failed: stop holding this side
             return real(*args, **kwargs)
         return wrapper
     return make

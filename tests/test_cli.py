@@ -143,6 +143,21 @@ def test_select_byte_identical_and_thread_invariant(graph_file, capsys):
     assert first == second == third
 
 
+def test_select_verbose_logs_to_stderr_and_keeps_stdout(graph_file, capsys):
+    argv = ["select", "--input", graph_file, "--kmax", "3", "--models", "sbm,dcbm",
+            "--seed", "9", "--threads", "1"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main(argv + ["-vv"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    lines = loud.err.splitlines()
+    assert any(line.startswith("DEBUG netcv.spectral: clustering of ") for line in lines)
+    assert "netcv." not in quiet.err
+    assert main(argv + ["-v"]) == 0  # info only, and the handler of -vv is gone
+    assert "DEBUG" not in capsys.readouterr().err
+
+
 def test_select_writes_output_file(graph_file, tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = main(["select", "--input", graph_file, "--kmax", "2", "--models",
@@ -282,6 +297,18 @@ def test_bench_polblogs_on_synthetic(graph_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("which,n_lcc,")
     assert open(curves).read().startswith("model,K,total_loss")
+
+
+def test_bench_polblogs_threads(graph_file, tmp_path, capsys):
+    argv = ["bench", "polblogs", "--input", graph_file, "--reps", "2", "--kmax", "2",
+            "--seed", "5"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--threads", "1"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--threads", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need threads >= 1, got 0" in captured.err
 
 
 def test_bench_missing_polblogs_exits_2(tmp_path, capsys):

@@ -301,9 +301,9 @@ def test_polblogs_curves_reuse_the_first_report(tmp_path, monkeypatch):
     calls = []
     select = netcv.ncv._select
 
-    def counting_select(A, candidates, V, fn, seed):
+    def counting_select(A, candidates, V, fn, seed, threads=None):
         calls.append(seed)
-        return select(A, candidates, V, fn, seed)
+        return select(A, candidates, V, fn, seed, threads)
 
     # repeat_ncv checks A once, then runs one _select per rep
     monkeypatch.setattr(netcv.ncv, "_select", counting_select)

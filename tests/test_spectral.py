@@ -15,8 +15,8 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import netcv.spectral
 from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
-from netcv.spectral import (_alternate, _dist, _geometric_medians, _means, _nearest,
-                            _newton_step,
+from netcv.spectral import (_alternate, _dist, _geometric_medians, _labels, _means,
+                            _median_update, _nearest, _newton_step, _repair_empty,
                             _seed_centers, _seed_runs, _weiszfeld, geometric_median, kmeans,
                             kmedian_spherical,
                             spectral_cluster_rect, spherical_embed,
@@ -926,6 +926,207 @@ def test_kmedian_computes_each_clusters_median_once(monkeypatch):
     kmedian_spherical(X, k, np.random.default_rng(0))
     assert len(seen) > k and len(seen) == len(set(seen))
     assert max(batches) > k  # the first pass solves the clusters of several runs at once
+
+
+# ---------------------------------------------------------------- the screened assignment
+
+def screen_input(rng, family, max_width=16):
+    """Points X and centers (runs, k, d) of one adversarial family, at a
+    scale from 1e-6 to 1e6, a power of two (which keeps exact ties), or
+    about 1e-160, where the squares fall below the normal range."""
+    n, d = int(rng.integers(1, 120)), int(rng.integers(1, max_width + 1))
+    k, runs = int(rng.integers(1, 8)), int(rng.integers(1, 11))
+    if family == "ties":  # integer points, half-integer centers
+        X = rng.integers(-3, 4, (n, d)).astype(float)
+        C = rng.integers(-6, 7, (runs, k, d)) / 2.0
+    elif family == "duplicates":  # centers on points, one center repeated
+        X = rng.standard_normal((n, d))
+        C = X[rng.integers(n, size=(runs, k))]
+        C[:, int(rng.integers(k))] = C[:, int(rng.integers(k))]
+    elif family == "ulps":  # the centers of a run a few ulps apart
+        X = rng.standard_normal((n, d))
+        C = np.repeat(rng.standard_normal((runs, 1, d)), k, axis=1)
+        C += np.spacing(C) * rng.integers(-4, 5, C.shape)
+    else:  # unit rows, centers on or near them, one center repeated
+        X = rng.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        C = X[rng.integers(n, size=(runs, k))] + rng.normal(0, 1e-3, (runs, k, d)) * rng.integers(2)
+        C[:, int(rng.integers(k))] = C[:, int(rng.integers(k))]
+    u = rng.random()
+    scale = (10.0 ** rng.uniform(-6, 6) if u < 0.45 else 2.0 ** int(rng.integers(-20, 21))
+             if u < 0.9 else 10.0 ** rng.uniform(-162, -150))
+    return X * scale, C * scale
+
+
+def screen_args(X):
+    """``_labels``'s point arguments: X.T over a row of ones, squared norms."""
+    return np.vstack([X.T, np.ones(len(X))]), np.einsum("ij,ij->i", X, X)
+
+
+@pytest.mark.parametrize("family", ["ties", "duplicates", "ulps", "unit"])
+def test_labels_match_nearest_on_adversarial_inputs(family):
+    rng = np.random.default_rng(["ties", "duplicates", "ulps", "unit"].index(family))
+    decided = 0
+    for _ in range(1000):
+        X, C = screen_input(rng, family)
+        XT1, xx = screen_args(X)
+        labels, exact = _labels(XT1, C, xx)
+        assert np.array_equal(labels, _nearest(np.ascontiguousarray(X.T), C)[0])
+        assert exact.shape == (len(C),) and (exact <= X.shape[0]).all()
+        decided += exact.sum()
+    assert decided > 0  # every family reaches the exact check
+
+
+def test_labels_send_non_finite_gaps_to_the_exact_check():
+    # For the first point x.c_0 overflows, so the screen's best is -inf,
+    # yet c_1 is nearer and no distance overflows; the second is NaN.
+    X = np.array([[1.3e154, 0.0], [np.nan, 0.0], [0.5, 0.5]])
+    C = np.array([[[7e153, 7e153], [6.5e153, 0.0]]])
+    XT1, xx = screen_args(X)
+    labels, exact = _labels(XT1, C, xx)
+    assert labels.tolist() == _nearest(np.ascontiguousarray(X.T), C)[0].tolist() == [[1, 0, 1]]
+    assert exact.tolist() == [2]
+
+
+def alternate_oracle(X, centers, update, squared, max_iter=100):
+    """``_alternate`` as it was with exact distances on every pass: the
+    labels, centers and objectives of every run, and the number of runs
+    still going at max_iter."""
+    def total(dist):
+        return (dist**2).sum(axis=1) if squared else dist.sum(axis=1)
+
+    def repair(centers, labels, dist):
+        runs, k, _ = centers.shape
+        counts = np.bincount((labels + k * np.arange(runs)[:, None]).ravel(),
+                             minlength=runs * k)
+        moved = np.zeros(runs, dtype=bool)
+        d = dist.copy()
+        for r, c in np.argwhere(counts.reshape(runs, k) == 0):
+            idx = int(np.argmax(d[r]))
+            if d[r, idx] < 1e-12:
+                continue
+            moved[r] |= not np.array_equal(centers[r, c], X[idx])
+            centers[r, c] = X[idx]
+            d[r, idx] = -1.0
+        return moved
+    XT = np.ascontiguousarray(X.T)
+    labels = np.full((len(centers), len(X)), -1, dtype=np.intp)
+    final = np.empty_like(centers)
+    objectives = np.empty(len(centers))
+    going, moving = np.arange(len(centers)), centers.copy()
+    for _ in range(max_iter):
+        new, dist = _nearest(XT, moving)
+        on = repair(moving, new, dist) | (new != labels[going]).any(axis=1)
+        labels[going] = new
+        final[going[~on]] = moving[~on]
+        objectives[going[~on]] = total(dist[~on])
+        going, moving = going[on], moving[on]
+        if going.size == 0:
+            break
+        update(X, labels[going], moving)
+    if going.size:
+        final[going] = moving
+        objectives[going] = total(_nearest(XT, moving)[1])
+    return labels, final, objectives, going.size
+
+
+def oracle_input(rng, family):
+    """(X, k) of one family, n from 5 to 800, width 1-6, k 1-7."""
+    n = int(np.exp(rng.uniform(np.log(5), np.log(800))))
+    d, k = int(rng.integers(1, 7)), int(rng.integers(1, min(n, 7) + 1))
+    if family == "gaussian":
+        X = rng.standard_normal((n, d))
+    elif family == "clustered":
+        X = rng.standard_normal((k, d))[rng.integers(k, size=n)] * 3 + rng.normal(0, 0.5, (n, d))
+    elif family == "ties":
+        X = rng.integers(0, 3, (n, d)).astype(float)
+    elif family == "sphere":
+        X = rng.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    else:  # duplicated rows, at times fewer distinct ones than k (empty clusters)
+        m = int(rng.integers(1, min(n, 2 * k) + 1))
+        X = rng.standard_normal((m, d))[rng.integers(m, size=n)]
+    return X, k
+
+
+@pytest.mark.parametrize("family", ["gaussian", "clustered", "ties", "sphere", "duplicates"])
+def test_clusterers_and_their_warns_at_max_iter_match_the_exact_distance_oracle(family, caplog):
+    # A few geometric medians of raw Gaussian points reach their step cap
+    # and warn, in the oracle as here (they are the same medians).  A run
+    # that reaches max_iter must warn once, as the oracle's count says.
+    rng = np.random.default_rng(["gaussian", "clustered", "ties", "sphere",
+                                 "duplicates"].index(family) + 50)
+    for case in range(64):
+        X, k = oracle_input(rng, family)
+        squared = case % 2 == 0
+        cluster = kmeans if squared else kmedian_spherical
+        update = _means if squared else partial(_median_update, {})
+        got_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="netcv.spectral"):
+            got = cluster(X, k, got_rng)
+        labels, centers, objectives, capped = alternate_oracle(
+            X, _seed_runs(X, k, 10, ref_rng, squared), update, squared)
+        assert sum("labels settled" in r.getMessage() for r in caplog.records) == capped
+        best = int(np.argmin(objectives))
+        assert np.array_equal(got.labels, labels[best] + 1)
+        assert got.centers.tobytes() == centers[best].tobytes()
+        assert np.float64(got.objective).tobytes() == objectives[best].tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _seeded(X, k, squared):
+    return X, _seed_runs(X, k, 10, np.random.default_rng(0), squared)
+
+
+SPY_CASES = {
+    "kmeans": (*_seeded(np.random.default_rng(5).standard_normal((300, 3)), 4, True), 100),
+    # three distinct rows for five clusters: every pass has empty clusters
+    "kmeans-repairs": (*_seeded(np.repeat(np.eye(3), [40, 40, 1], axis=0), 5, True), 100),
+    # a repair that moves a center, which takes a point on the next pass
+    "kmeans-repairs-moved": (*LOCKSTEP_CASES["empty"][:2], 100),
+    "kmeans-capped-warns_at_max_iter": (
+        *_seeded(np.random.default_rng(6).standard_normal((300, 2)), 6, True), 2),
+    "kmedian": (*_seeded(_kmedian_input()[0], 3, False), 100),
+}
+
+
+@pytest.mark.parametrize("case", SPY_CASES)
+def test_exact_distances_only_at_stops_repairs_and_the_cap(case, monkeypatch, caplog):
+    X, starts, max_iter = SPY_CASES[case]
+    squared = case.startswith("kmeans")
+    update = _means if squared else partial(_median_update, {})
+    calls, repairs, screening = [], [], []  # calls: (from _labels, points)
+
+    def nearest(XT, centers):
+        calls.append((bool(screening), XT.shape[1]))
+        return _nearest(XT, centers)
+
+    def labels(*args):
+        screening.append(True)
+        try:
+            return _labels(*args)
+        finally:
+            screening.pop()
+
+    def repair(*args):
+        repairs.append(args)
+        return _repair_empty(*args)
+    monkeypatch.setattr(netcv.spectral, "_nearest", nearest)
+    monkeypatch.setattr(netcv.spectral, "_labels", labels)
+    monkeypatch.setattr(netcv.spectral, "_repair_empty", repair)
+    with caplog.at_level(logging.DEBUG, logger="netcv.spectral"):
+        _alternate(X, starts, update, squared, max_iter=max_iter)
+    capped = "stopped at max_iter" in caplog.text
+    assert capped == ("capped" in case) and bool(repairs) == ("repairs" in case)
+    assert ("reseeded" in caplog.text) == ("moved" in case)
+    whole = [width for screened, width in calls if not screened]
+    assert 0 < len(whole) <= len(starts) + len(repairs) + capped
+    assert set(whole) == {len(X)}
+    lines = [r.getMessage() for r in caplog.records if "exact-distance calls" in r.getMessage()]
+    pairs = sum(width for screened, width in calls if screened)
+    assert len(lines) == 1 and lines[0].endswith(
+        f"{pairs} (run, point) pairs decided by exact distances, {len(calls)} exact-distance calls")
 
 
 # ---------------------------------------------------------------- embedding
