@@ -61,6 +61,8 @@ class ExperimentSpec:
             raise ValueError(f"need V >= 2, got {self.V}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"need threads >= 1, got {self.threads}")
+        if self.kmax_extra < 0:
+            raise ValueError(f"need kmax_extra >= 0, got {self.kmax_extra}")
         self.loss = canonical_loss(self.loss)
         self.K = tuple(int(k) for k in self.K)
         if not self.K or min(self.K) < 1:

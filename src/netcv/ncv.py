@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_array
 
-from .estimators import _onehot, _predict_rows, clamp_probs, estimate_block
+from .estimators import _estimate_block, _predict_rows, clamp_probs
 from .graphs import check_adjacency, partition_nodes
 from .spectral import (top_k_right_singular, spectral_cluster_rect,
                        spherical_spectral_cluster_rect)
@@ -117,11 +117,15 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
 
     Fits on the rectangle of rows outside N_v, then sums the loss over
     ordered pairs i != j inside N_v (twice the unordered sum, by
-    symmetry; the argmin is unaffected).  A is a 0/1 adjacency as a
-    CSR array, the form ``check_adjacency`` returns.  A precomputed
-    SingularBasis of the rectangle may be passed to share the SVD across
-    candidates, and so may the rectangle's rows, the sorted nodes outside
-    N_v, to share them across the fold's cells.
+    symmetry; the argmin is unaffected).  The plain model's clamped
+    probability B' is constant on each label pair, so its loss is
+    sum_ab [m_ab L(1, B'_ab) + (n_ab - m_ab) L(0, B'_ab)], from the ordered
+    edge and pair counts m_ab and n_ab among N_v that the fit's own
+    product gives.  A is a 0/1 adjacency as a CSR array, the form
+    ``check_adjacency`` returns.  A precomputed SingularBasis of the
+    rectangle may be passed to share the SVD across candidates, and so
+    may the rectangle's rows, the sorted nodes outside N_v, to share them
+    across the fold's cells.
     """
     check_candidate(candidate)
     kind = canonical_loss(fn)
@@ -137,40 +141,13 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     else:
         g_hat, psi = spherical_spectral_cluster_rect(rect, candidate.K, rng,
                                                      basis=basis)
-    fit = estimate_block(A, fit_rows, Nv, g_hat, candidate.K, psi_hat=psi)
-    held_out = replace(fit, g_hat=fit.g_hat[Nv],
-                       psi_hat=None if psi is None else fit.psi_hat[Nv])
+    fit, edges, pairs = _estimate_block(A, fit_rows, Nv, g_hat, candidate.K, psi_hat=psi)
     if psi is None:
-        return _block_loss(kind, A, Nv, held_out)
+        p = clamp_probs(fit.B_hat)
+        return float((edges * _loss_array(kind, 1.0, p)
+                      + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())
+    held_out = replace(fit, g_hat=fit.g_hat[Nv], psi_hat=fit.psi_hat[Nv])
     return _degree_corrected_loss(kind, A[Nv][:, Nv], held_out)
-
-
-def _block_counts(A, Nv, g, k):
-    """Ordered counts among the held-out nodes Nv by label pair, from the
-    adjacency A and the labels g of Nv: the edge counts
-    m_ab = H^T A_v H_Nv, with H the one-hot labels, A_v the rows of A in
-    Nv (read as the rows Nv of A H_Nv, so no slice of A is built) and
-    H_Nv the n x k matrix that holds H in the rows Nv and zeros
-    elsewhere, and the pair counts n_ab over i != j."""
-    H = _onehot(g, k)
-    H_Nv = np.zeros((A.shape[1], k))
-    H_Nv[Nv] = H
-    sizes = H.sum(axis=0)
-    return H.T @ (A @ H_Nv)[Nv], np.outer(sizes, sizes) - np.diag(sizes)
-
-
-def _block_loss(kind, A, Nv, fit):
-    """Held-out loss of a plain block model on the nodes Nv of the
-    adjacency A, from label-pair counts.
-
-    The clamped probability B' is constant on each label pair, so the
-    loss is sum_ab [m_ab L(1, B'_ab) + (n_ab - m_ab) L(0, B'_ab)]
-    (``_block_counts``): O(stored entries of A x k + n k).
-    """
-    edges, pairs = _block_counts(A, Nv, fit.g_hat, fit.k)
-    p = clamp_probs(fit.B_hat)
-    return float((edges * _loss_array(kind, 1.0, p)
-                  + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())
 
 
 def _degree_corrected_loss(kind, A_vv, fit):

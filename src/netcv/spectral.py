@@ -316,15 +316,15 @@ def _repair_empty(X, centers, empty, dist):
     return moved
 
 
-def _means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+def _means(X: np.ndarray, bins: np.ndarray, counts: np.ndarray, centers: np.ndarray):
     """The k-means update: move each nonempty cluster's center to the mean
-    of its points, for labels (runs, n) and centers (runs, k, d), in place,
-    each cluster's rows summed in order by ``np.bincount``."""
+    of its points, for centers (runs, k, d), in place, from the bins
+    (runs, n) of ``_alternate`` and the cluster sizes (runs, k), each
+    cluster's rows summed in order by ``np.bincount``."""
     runs, k, d = centers.shape
-    bins = (labels + k * np.arange(runs)[:, None]).ravel()
-    counts = np.bincount(bins, minlength=runs * k)
+    bins, counts = bins.ravel(), counts.ravel()
     sums = np.empty((runs * k, d))
-    weights = np.empty(labels.shape)  # one coordinate of every run's points
+    weights = np.empty((runs, X.shape[0]))  # one coordinate of every run's points
     for j in range(d):
         weights[:] = X[:, j]
         sums[:, j] = np.bincount(bins, weights.ravel(), runs * k)
@@ -336,8 +336,10 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
                max_iter: int = _MAX_ITER):
     """Alternating assignment / center updates of several runs in lockstep,
     from centers (runs, k, d); returns labels (runs, n), centers and
-    objectives (runs,).  ``update(X, labels, centers)`` moves the centers
-    of the runs still going, in place; the objective sums squared
+    objectives (runs,).  ``update(X, bins, counts, centers)`` moves the
+    centers of the runs still going, in place, from their bins (labels
+    plus k times the run's row) and cluster sizes (runs, k), counted once
+    per pass; the objective sums squared
     distances when ``squared``, else plain ones.  A run stops once its
     labels are unchanged and no empty-cluster repair moved a center; a
     run still going at ``max_iter`` logs a warning.
@@ -368,8 +370,9 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
         new, exact = _labels(XT1, moving, xx)
         exact_pairs += int(exact.sum())
         exact_calls += int(np.count_nonzero(exact))
-        cells = (new + k * np.arange(len(going))[:, None]).ravel()
-        empty = (np.bincount(cells, minlength=len(going) * k) == 0).reshape(len(going), k)
+        bins = new + k * np.arange(len(going))[:, None]
+        counts = np.bincount(bins.ravel(), minlength=len(going) * k).reshape(len(going), k)
+        empty = counts == 0
         on = (new != last).any(axis=1)
         check = np.flatnonzero(~on | empty.any(axis=1))
         if check.size:
@@ -387,7 +390,9 @@ def _alternate(X: np.ndarray, centers: np.ndarray, update, squared: bool,
         going, moving, last = going[on], moving[on], new[on]
         if going.size == 0:
             break
-        update(X, last, moving)
+        if going.size < on.size:  # renumber the bins of the runs going on
+            bins, counts = last + k * np.arange(going.size)[:, None], counts[on]
+        update(X, bins, counts, moving)
     for _ in going:
         logger.warning("clustering of %d points into %d clusters stopped at max_iter=%d "
                        "before the labels settled", X.shape[0], k, max_iter)
@@ -654,16 +659,17 @@ def geometric_median(P: np.ndarray) -> np.ndarray:
     return _geometric_medians(P, [np.arange(P.shape[0])])[0]
 
 
-def _median_update(memo: dict, X: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+def _median_update(memo: dict, X: np.ndarray, bins: np.ndarray, counts: np.ndarray,
+                   centers: np.ndarray):
     """The k-median update: move each nonempty cluster's center to the
-    geometric median of its points, for labels (runs, n) and centers
-    (runs, k, d), in place.  ``memo`` maps a cluster's member indices to
-    its median, across runs and passes; the new clusters of a pass, each
-    once, are solved together by ``_geometric_medians``."""
-    runs, k, _ = centers.shape
-    cells = (labels + k * np.arange(runs)[:, None]).ravel()
-    order = np.argsort(cells, kind="stable") % labels.shape[1]  # members in index order
-    sizes = np.bincount(cells, minlength=runs * k)
+    geometric median of its points, for centers (runs, k, d), in place,
+    from the bins (runs, n) of ``_alternate`` and the cluster sizes
+    (runs, k).  ``memo`` maps a cluster's member indices to its median,
+    across runs and passes; the new clusters of a pass, each once, are
+    solved together by ``_geometric_medians``."""
+    k = centers.shape[1]
+    order = np.argsort(bins.ravel(), kind="stable") % X.shape[0]  # members in index order
+    sizes = counts.ravel()
     ends = np.cumsum(sizes)
     keys, new = {}, {}
     for cell in np.flatnonzero(sizes):

@@ -260,6 +260,16 @@ def test_bench_rejects_missing_or_zero_k(k, capsys):
     assert "true K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", ["-1", "-2"])
+def test_bench_rejects_negative_kmax_extra(extra, capsys):
+    code = main(["bench", "sim1", "--n", "200", "--k", "2", "--reps", "2",
+                 "--kmax-extra", extra, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "kmax_extra >= 0" in captured.err
+
+
 def test_bench_sim1_with_no_feasible_cell_exits_2(capsys, caplog):
     code = main(["bench", "sim1", "--n", "100", "--k", "2", "--n1", "80",
                  "--r", "0.2", "--reps", "1", "--seed", "1"])

@@ -138,6 +138,17 @@ def test_sbm_empty_block_falls_back_to_density():
     assert np.allclose(fit.B_hat[:, 2], dens)
 
 
+@pytest.mark.parametrize("form", [np.asarray, csr_array])
+def test_estimate_block_rejects_a_nonzero_diagonal(form):
+    A = np.zeros((4, 4))
+    A[2, 2] = 1.0
+    g = np.array([1, 1, 2, 2])
+    with pytest.raises(ValueError, match="zero diagonal"):
+        estimate_block(form(A), [0, 1], [2, 3], g, 2)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        estimate_block(form(A), [0, 1], [2, 3], g, 2, psi_hat=np.ones(4))
+
+
 def test_sbm_rejects_label_out_of_range():
     A = np.zeros((4, 4), dtype=np.int8)
     with pytest.raises(ValueError):
@@ -147,6 +158,7 @@ def test_sbm_rejects_label_out_of_range():
 def test_sbm_noiseless_population_identity():
     params = sim1_params(90, 3, 30, 0.2)
     P = expected_P(params)
+    np.fill_diagonal(P, 0.0)  # self-pairs are never observed pairs
     N1 = np.arange(0, 90, 3)
     N2 = np.setdiff1d(np.arange(90), N1)
     fit = estimate_block(P, N1, N2, params.g, 3)
@@ -172,6 +184,7 @@ def test_dcbm_noiseless_identity():
         psi[g == c] /= psi[g == c].max()
     params = DcbmParams(g=g, k=3, B=B, psi=psi)
     P = expected_P(params)
+    np.fill_diagonal(P, 0.0)  # self-pairs are never observed pairs
     # true community-normalized activeness
     psi_prime = psi.copy()
     for c in (1, 2, 3):

@@ -59,6 +59,13 @@ def test_spec_rejects_threads_below_one(threads):
         small_spec(threads=threads)
 
 
+@pytest.mark.parametrize("kmax_extra", [-1, -2])
+def test_spec_rejects_negative_kmax_extra(kmax_extra):
+    with pytest.raises(ValueError, match="kmax_extra >= 0"):
+        small_spec(kmax_extra=kmax_extra)
+    assert small_spec(kmax_extra=0).kmax_extra == 0
+
+
 def test_spec_canonicalizes_loss():
     assert small_spec(loss="nll").loss == "negloglik"
     with pytest.raises(ValueError):

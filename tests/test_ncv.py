@@ -137,7 +137,7 @@ def test_fold_loss_bitwise_equals_full_matrix_formula(kind, monkeypatch):
 
 
 def test_block_counts_match_a_pair_loop():
-    from netcv.ncv import _block_counts
+    from netcv.estimators import _estimate_block
 
     rng = np.random.default_rng(24)
     for _ in range(20):
@@ -147,7 +147,8 @@ def test_block_counts_match_a_pair_loop():
         A = A + A.T
         g = rng.integers(1, k + 1, size=n)
         Nv = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        edges, pairs = _block_counts(scipy.sparse.csr_array(A), Nv, g[Nv], k)
+        N1 = np.setdiff1d(np.arange(n), Nv)
+        _, edges, pairs = _estimate_block(check_adjacency(A), N1, Nv, g, k)
         m_ref = np.zeros((k, k))
         n_ref = np.zeros((k, k))
         for i in Nv:
@@ -179,6 +180,35 @@ def test_sbm_select_slices_only_the_fold_rows(monkeypatch):
     assert len(keys) == V
     for key, Nv in zip(keys, partition):
         assert np.array_equal(key, np.setdiff1d(np.arange(90), Nv))
+
+
+class CountingCsr(scipy.sparse.csr_array):
+    """A CSR adjacency that logs its products with ``@`` and its
+    ``diagonal()`` calls in ``log``, when one is set."""
+
+    def __matmul__(self, other):
+        getattr(self, "log", []).append("matmul")
+        return super().__matmul__(other)
+
+    def diagonal(self, k=0):
+        getattr(self, "log", []).append("diagonal")
+        return super().diagonal(k)
+
+
+def test_plain_cells_multiply_the_adjacency_once_and_never_rescan_its_diagonal(monkeypatch):
+    A = CountingCsr(check_adjacency(planted_A(90, seed=3, p_in=0.5, p_out=0.05)[0]))
+    A.log = log = []
+    check = netcv.ncv.check_adjacency
+    monkeypatch.setattr(netcv.ncv, "check_adjacency",
+                        lambda A: log.append("checked") or check(A))
+    partition = partition_nodes(90, 3, np.random.default_rng(1))
+    fold_fit_validate(A, partition, 0, Candidate("sbm", 2), "nll", np.random.default_rng(2))
+    assert log == ["matmul"]
+    log.clear()
+    rep = ncv_select(A, candidate_grid(["sbm"], 3), V=3, seed=4, threads=1)
+    assert rep.selected == Candidate("sbm", 2)
+    # check_adjacency reads the diagonal once; the 9 cells one product each
+    assert log == ["checked", "diagonal"] + ["matmul"] * 9
 
 
 @settings(max_examples=60, deadline=None)

@@ -375,11 +375,14 @@ def _kmedian_input():
     return X, X[:4].copy()
 
 
-def _each_cluster(center_of, X, labels, centers):
+def _each_cluster(center_of, X, bins, counts, centers):
     """The per-cluster update: move each nonempty cluster's center to
-    ``center_of`` its points, for labels (runs, n) and centers (runs, k,
-    d), in place."""
-    for run, run_centers in zip(labels, centers):
+    ``center_of`` its points, for bins (runs, n), the labels plus k times
+    the run, cluster sizes (runs, k) and centers (runs, k, d), in place."""
+    k = centers.shape[1]
+    labels = bins - k * np.arange(len(bins))[:, None]
+    for run, sizes, run_centers in zip(labels, counts, centers):
+        assert np.array_equal(np.bincount(run, minlength=k), sizes)
         for c in np.unique(run):
             run_centers[c] = center_of(X[run == c])
 
@@ -397,11 +400,12 @@ def test_alternate_objective_trace_nonincreasing(make_input, update, squared):
     X, centers0 = make_input()
     trace = []
 
-    def spy(X, labels, centers):
-        # the objective of this pass's assignment, before the update
-        d = np.linalg.norm(X - centers[0][labels[0]], axis=1)
+    def spy(X, bins, counts, centers):
+        # the objective of this pass's assignment, before the update; the
+        # first run's bins are its labels
+        d = np.linalg.norm(X - centers[0][bins[0]], axis=1)
         trace.append(np.sum(d**2) if squared else d.sum())
-        update(X, labels, centers)
+        update(X, bins, counts, centers)
     objectives = _alternate(X, centers0[None], spy, squared)[2]
     trace.append(objectives[0])
     assert len(trace) > 2
@@ -1023,7 +1027,9 @@ def alternate_oracle(X, centers, update, squared, max_iter=100):
         going, moving = going[on], moving[on]
         if going.size == 0:
             break
-        update(X, labels[going], moving)
+        runs, k, _ = moving.shape
+        bins = labels[going] + k * np.arange(runs)[:, None]
+        update(X, bins, np.bincount(bins.ravel(), minlength=runs * k).reshape(runs, k), moving)
     if going.size:
         final[going] = moving
         objectives[going] = total(_nearest(XT, moving)[1])
