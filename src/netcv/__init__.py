@@ -11,10 +11,9 @@ from .spectral import (ClusterResult, SingularBasis, geometric_median, kmeans,
                        kmedian_spherical, spectral_cluster_rect,
                        spherical_embed, spherical_spectral_cluster_rect,
                        top_k_right_singular)
-from .estimators import (BlockFit, clamp_probs, estimate_block, predict_P,
-                         predict_P_matrix)
+from .estimators import BlockFit, clamp_probs, estimate_block
 from .ncv import (Candidate, NcvReport, candidate_grid, fold_fit_validate,
-                  loss, ncv_select, repeat_ncv)
+                  ncv_select, repeat_ncv)
 from .harness import (ExperimentSpec, SuccessTable, run_experiment,
                       run_polblogs, run_sim1, run_sim2, run_sim3,
                       write_loss_curves_csv)
@@ -30,9 +29,8 @@ __all__ = [
     "ClusterResult", "SingularBasis", "geometric_median", "kmeans",
     "kmedian_spherical", "spectral_cluster_rect", "spherical_embed",
     "spherical_spectral_cluster_rect", "top_k_right_singular",
-    "BlockFit", "clamp_probs", "estimate_block", "predict_P",
-    "predict_P_matrix",
-    "Candidate", "NcvReport", "candidate_grid", "fold_fit_validate", "loss",
+    "BlockFit", "clamp_probs", "estimate_block",
+    "Candidate", "NcvReport", "candidate_grid", "fold_fit_validate",
     "ncv_select", "repeat_ncv",
     "ExperimentSpec", "SuccessTable", "run_experiment", "run_polblogs",
     "run_sim1", "run_sim2", "run_sim3", "write_loss_curves_csv",

@@ -43,10 +43,6 @@ class BlockFit:
     B_hat: np.ndarray
     psi_hat: np.ndarray | None = None
 
-    @property
-    def k(self):
-        return self.B_hat.shape[0]
-
 
 def _pair_sums(A, N1, N2, g, k, weights=None):
     """(Num, Den) of ``_sums``."""
@@ -148,31 +144,3 @@ def _estimate_block(A, N1, N2, g_hat, k, psi_hat=None):
 def clamp_probs(P):
     """Clamp probabilities into [eps, 1-eps] before likelihood evaluation."""
     return np.clip(P, PROB_CLAMP_EPS, 1.0 - PROB_CLAMP_EPS)
-
-
-def predict_P(fit: BlockFit, i: int, j: int) -> float:
-    """Predicted edge probability for one pair, clamped to [1e-6, 1-1e-6]."""
-    if i == j:
-        raise ValueError("self-pairs have no edge probability")
-    p = fit.B_hat[fit.g_hat[i] - 1, fit.g_hat[j] - 1]
-    if fit.psi_hat is not None:
-        p = fit.psi_hat[i] * fit.psi_hat[j] * p
-    return float(clamp_probs(p))
-
-
-def _predict_rows(fit: BlockFit, rows) -> np.ndarray:
-    """Clamped predicted probabilities from the nodes fit.g_hat[rows] to
-    every node of fit.g_hat, self-pairs included."""
-    g0 = fit.g_hat - 1
-    P = fit.B_hat[np.ix_(g0[rows], g0)]
-    if fit.psi_hat is not None:
-        P *= np.outer(fit.psi_hat[rows], fit.psi_hat)
-    return clamp_probs(P)
-
-
-def predict_P_matrix(fit: BlockFit) -> np.ndarray:
-    """Clamped predicted probabilities among the nodes of fit.g_hat (n x n),
-    zero diagonal."""
-    P = _predict_rows(fit, slice(None))
-    np.fill_diagonal(P, 0.0)
-    return P

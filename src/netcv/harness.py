@@ -101,8 +101,11 @@ class SuccessTable:
         return buf.getvalue()
 
     def to_json(self):
-        return json.dumps({"which": self.which, "seed": self.seed,
-                           "rows": self.rows}, indent=2)
+        """The table as strict JSON: a NaN rate (no denominator) is null."""
+        rows = [{c: None if isinstance(x, float) and np.isnan(x) else x
+                 for c, x in row.items()} for row in self.rows]
+        return json.dumps({"which": self.which, "seed": self.seed, "rows": rows},
+                          indent=2, allow_nan=False)
 
 
 def _cell_seq(seed, sim, *key):
@@ -142,11 +145,11 @@ def _select_cells(spec, sim, cells):
     in grid order among equals), so that the processes end on the cheap
     ones.
     """
-    tasks = [(spec, candidates, sim, key, rep, params_of)
+    tasks = [(candidates, sim, key, rep, params_of)
              for key, candidates, params_of in cells for rep in range(spec.reps)]
-    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][1]))
+    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][0]))
     sels = [None] * len(tasks)
-    for i, sel in zip(order, _run_tasks(_select_rep, [tasks[i] for i in order],
+    for i, sel in zip(order, _run_tasks(_select_rep, spec, [tasks[i] for i in order],
                                         spec.threads)):
         sels[i] = sel
     return [sels[i:i + spec.reps] for i in range(0, len(sels), spec.reps)]
@@ -154,7 +157,8 @@ def _select_cells(spec, sim, cells):
 
 def run_sim1(spec: ExperimentSpec) -> SuccessTable:
     """Planted-K SBM over a (r, K, n1) grid; success means the selected
-    K equals the truth.  A (K, n1) cell with n1 * K > n is skipped with
+    K equals the truth.  A K=1 cell plants one community of all n nodes,
+    whatever the n1 grid.  A (K, n1) cell with n1 * K > n is skipped with
     a warning; a grid in which no cell fits raises ValueError."""
     r_grid = spec.r if spec.r is not None else SIM1_R_GRID
     n1_grid = spec.n1 if spec.n1 is not None else (spec.n // max(spec.K),)
@@ -163,7 +167,7 @@ def run_sim1(spec: ExperimentSpec) -> SuccessTable:
     table = SuccessTable("sim1", spec.seed, cols)
     fits = []
     for K in spec.K:
-        for n1 in n1_grid:
+        for n1 in (n1_grid if K > 1 else (spec.n,)):
             if n1 * K <= spec.n:
                 fits.append((K, n1))
             else:

@@ -11,20 +11,19 @@ and the one with the smallest summed loss wins.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import logging
 import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from .estimators import _estimate_block, _predict_rows, clamp_probs
+from .estimators import _estimate_block, clamp_probs
 from .graphs import check_adjacency, partition_nodes
 from .spectral import (top_k_right_singular, spectral_cluster_rect,
                        spherical_spectral_cluster_rect)
@@ -35,15 +34,6 @@ _LOSS_ALIASES = {"l2": "squared", "squared": "squared",
                  "nll": "negloglik", "negloglik": "negloglik"}
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
 _LOSS_BLOCK = 1 << 18  # entries of one row chunk of the degree-corrected held-out loss
-
-# Inputs of each running select, by run key: (A, partition, fit_rows,
-# kmax, kind, seed), where fit_rows[v] holds the sorted nodes outside fold
-# v.  An entry is set before the select's workers fork, so that they
-# inherit the adjacency, the partition and the fitting rows instead of
-# unpickling them, and it is removed when the cells are done.  The key
-# keeps selects run from several threads of one process apart.
-_RUNNING = {}
-_RUN_KEYS = itertools.count()
 
 
 def canonical_loss(name: str) -> str:
@@ -70,16 +60,9 @@ def candidate_grid(models, kmax: int):
     return [Candidate(m, k) for m in models for k in range(1, kmax + 1)]
 
 
-def loss(fn: str, x, p) -> float:
-    """Per-pair loss: squared error or negative log-likelihood.
-
-    p is assumed already clamped away from {0, 1} (see estimators).
-    """
-    return float(_loss_array(canonical_loss(fn), np.asarray(x, dtype=float),
-                             np.asarray(p, dtype=float)))
-
-
 def _loss_array(kind, x, p):
+    """Per-pair loss of ``canonical_loss`` kind: squared error or negative
+    log-likelihood, p already clamped away from {0, 1} (see estimators)."""
     if kind == "squared":
         return (x - p) ** 2
     return -(x * np.log(p) + (1.0 - x) * np.log1p(-p))
@@ -146,12 +129,14 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
         p = clamp_probs(fit.B_hat)
         return float((edges * _loss_array(kind, 1.0, p)
                       + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())
-    held_out = replace(fit, g_hat=fit.g_hat[Nv], psi_hat=fit.psi_hat[Nv])
-    return _degree_corrected_loss(kind, A[Nv][:, Nv], held_out)
+    return _degree_corrected_loss(kind, A[Nv][:, Nv], fit.B_hat, fit.g_hat[Nv] - 1,
+                                  fit.psi_hat[Nv])
 
 
-def _degree_corrected_loss(kind, A_vv, fit):
-    """Held-out loss of a degree-corrected fit over ordered pairs i != j.
+def _degree_corrected_loss(kind, A_vv, B, g, psi):
+    """Held-out loss of a degree-corrected fit over ordered pairs i != j,
+    from the block matrix B and the held-out nodes' 0-based labels g and
+    activeness psi.
 
     The clamp of B_ab psi_i psi_j does not factorise over label pairs,
     so the probabilities are built in row chunks of at most
@@ -164,7 +149,9 @@ def _degree_corrected_loss(kind, A_vv, fit):
     for r0 in range(0, m, step):
         r1 = min(r0 + step, m)
         rows = np.arange(r1 - r0)
-        P = _predict_rows(fit, slice(r0, r1))
+        P = B[np.ix_(g[r0:r1], g)]
+        P *= np.outer(psi[r0:r1], psi)
+        P = clamp_probs(P)
         chunk = A_vv[r0:r1]
         edge = (np.repeat(rows, np.diff(chunk.indptr)), chunk.indices)
         # On 0/1 entries these terms are the bits of _loss_array(kind, x, p),
@@ -215,10 +202,10 @@ def _worker_count(threads, n_tasks, cpus):
 
 
 @contextlib.contextmanager
-def _processes(threads, n_tasks):
-    """Yield ``run(fn, tasks)``, which returns ``[fn(*t) for t in tasks]``
-    computed on up to ``threads`` processes; ``n_tasks`` is the length of
-    the longest list the caller will run.
+def _processes(threads, n_tasks, shared):
+    """Yield ``run(fn, tasks)``, which returns ``[fn(shared, *t) for t in
+    tasks]`` computed on up to ``threads`` processes; ``n_tasks`` is the
+    length of the longest list the caller will run.
 
     With w > 1 processes the caller and w - 1 workers forked from it at
     the first ``run`` share one counter of claimed tasks
@@ -226,8 +213,10 @@ def _processes(threads, n_tasks):
     free, so no process idles while a task is left and costliest-first
     lists end on the cheap tasks.  Workers are forked, not spawned,
     because a spawned worker would import netcv again (most of a second)
-    and could not inherit the caller's inputs or the counter; what a
-    worker needs that did not exist at the fork must travel in the task.
+    and would have to unpickle ``shared``: a forked one gets ``shared`` and
+    the counter through the pool initializer's arguments, which a fork
+    hands over without pickling; what a worker needs that did not exist
+    at the fork must travel in the task.
     The tasks run in sequence where the platform cannot fork, in a
     daemonic process (a multiprocessing pool's worker, which may not start
     children), and while other threads run (a child forked then can
@@ -238,19 +227,19 @@ def _processes(threads, n_tasks):
     if (w <= 1 or multiprocessing.current_process().daemon
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
-        yield lambda fn, tasks: [fn(*t) for t in tasks]
+        yield lambda fn, tasks: [fn(shared, *t) for t in tasks]
         return
     ctx = multiprocessing.get_context("fork")
     claimed = ctx.Value("q", 0)
-    with ProcessPoolExecutor(w - 1, mp_context=ctx, initializer=_share_claims,
-                             initargs=(claimed,)) as pool:
+    with ProcessPoolExecutor(w - 1, mp_context=ctx, initializer=_share_pool,
+                             initargs=(claimed, shared)) as pool:
 
         def run(fn, tasks):
             with claimed.get_lock():
                 claimed.value = 0
             futures = [pool.submit(_claim_tasks, fn, tasks) for _ in range(w - 1)]
             try:
-                results = _claim_tasks(fn, tasks, claimed)
+                results = _claim_tasks(fn, tasks, (claimed, shared))
                 for future in futures:
                     results.update(future.result())
             except BaseException:  # a worker's error, or an interrupt while waiting
@@ -262,29 +251,31 @@ def _processes(threads, n_tasks):
         yield run
 
 
-def _run_tasks(fn, tasks, threads):
-    """``[fn(*t) for t in tasks]``, run on up to ``threads`` processes
-    (see ``_processes``)."""
-    with _processes(threads, len(tasks)) as run:
+def _run_tasks(fn, shared, tasks, threads):
+    """``[fn(shared, *t) for t in tasks]``, run on up to ``threads``
+    processes (see ``_processes``)."""
+    with _processes(threads, len(tasks), shared) as run:
         return run(fn, tasks)
 
 
-# In a worker process of ``_processes``: the count of the running task
-# list's claimed tasks, shared with the caller and the other workers.
-_CLAIMED = None
+# In a worker process of ``_processes``: its pool's (claimed, shared), the
+# count of the running task list's claimed tasks, shared with the caller
+# and the other workers, and the argument passed to every task.
+_INITARGS = None
 
 
-def _share_claims(claimed):
-    global _CLAIMED
-    _CLAIMED = claimed
+def _share_pool(claimed, shared):
+    global _INITARGS
+    _INITARGS = (claimed, shared)
 
 
-def _claim_tasks(fn, tasks, claimed=None):
-    """Run ``fn(*tasks[i])`` for each index i claimed from the shared
-    counter (a worker's own ``_CLAIMED`` when None) until none is left;
-    returns the results by index.  On an exception it marks every task
-    claimed, so that the other processes stop after their current task."""
-    claimed = _CLAIMED if claimed is None else claimed
+def _claim_tasks(fn, tasks, initargs=None):
+    """Run ``fn(shared, *tasks[i])`` for each index i claimed from the
+    shared counter, with (claimed, shared) from ``initargs`` (a worker's
+    own ``_INITARGS`` when None), until none is left; returns the results
+    by index.  On an exception it marks every task claimed, so that the
+    other processes stop after their current task."""
+    claimed, shared = _INITARGS if initargs is None else initargs
     done = {}
     while True:
         with claimed.get_lock():
@@ -293,24 +284,24 @@ def _claim_tasks(fn, tasks, claimed=None):
         if i >= len(tasks):
             return done
         try:
-            done[i] = fn(*tasks[i])
+            done[i] = fn(shared, *tasks[i])
         except BaseException:
             with claimed.get_lock():
                 claimed.value = len(tasks)
             raise
 
 
-def _fold_basis(key, v):
-    """Fold SVD of the running select ``key`` (see ``_RUNNING``): the
+def _fold_basis(select, v):
+    """Fold SVD of a select's inputs ``select`` (see ``_select``): the
     top-kmax right singular basis of the rows outside fold v."""
-    A, _, fit_rows, kmax, _, _ = _RUNNING[key]
+    A, _, fit_rows, kmax, _, _ = select
     return top_k_right_singular(_FitRows(A[fit_rows[v]]), kmax)
 
 
-def _cell_loss(key, candidate, v, basis):
-    """Held-out loss of one (candidate, fold) cell of the running select
-    ``key`` (see ``_RUNNING``), given the fold's basis."""
-    A, partition, fit_rows, _, kind, seed = _RUNNING[key]
+def _cell_loss(select, candidate, v, basis):
+    """Held-out loss of one (candidate, fold) cell of a select's inputs
+    ``select`` (see ``_select``), given the fold's basis."""
+    A, partition, fit_rows, _, kind, seed = select
     return fold_fit_validate(A, partition, v, candidate, kind,
                              _cell_rng(seed, candidate, v), basis=basis,
                              fit_rows=fit_rows[v])
@@ -330,10 +321,11 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
 
     The V fold SVDs, then the (candidate, fold) cells, run on up to
     ``threads`` processes (every usable CPU when None, in sequence when
-    1): the caller and workers forked from it once, which inherit the
-    adjacency and the partition and are sent the fold bases; each process
-    takes the next task whenever it is free.  Each cell draws from its
-    own seeded generator, so the report does not depend on ``threads``.
+    1): the caller and workers forked from it once, which get the
+    adjacency and the partition through the fork (``_processes``) and are
+    sent the fold bases; each process takes the next task whenever it is
+    free.  Each cell draws from its own seeded generator, so the report
+    does not depend on ``threads``.
     ``threads`` below 1 is refused, and so is a fold of fewer than 2
     nodes or a K above a fold's fitting rows, before any SVD runs.
     """
@@ -372,20 +364,16 @@ def _select(A, candidates, V, fn, seed, threads=None) -> NcvReport:
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].K, -_MODEL_ORDER[candidates[i].model]))
     cells = [(i, v) for i in order for v in range(V)]
-    key = next(_RUN_KEYS)
-    fit_rows = [np.setdiff1d(np.arange(n), Nv) for Nv in partition]
-    _RUNNING[key] = (A, partition, fit_rows, kmax, kind, seed)
-    try:
-        with _processes(threads, len(cells)) as run:
-            # one decomposition per fold, shared by every candidate; the
-            # workers forked before the bases existed, so each cell task
-            # carries its fold's (a task list is pickled once per worker,
-            # and pickling stores an object shared by tasks once)
-            bases = run(_fold_basis, [(key, v) for v in range(V)])
-            losses = run(_cell_loss, [(key, candidates[i], v, bases[v])
-                                      for i, v in cells])
-    finally:
-        del _RUNNING[key]
+    # the select's inputs: fit_rows[v] holds the sorted nodes outside fold v
+    select = (A, partition, [np.setdiff1d(np.arange(n), Nv) for Nv in partition],
+              kmax, kind, seed)
+    with _processes(threads, len(cells), select) as run:
+        # one decomposition per fold, shared by every candidate; the
+        # workers forked before the bases existed, so each cell task
+        # carries its fold's (a task list is pickled once per worker,
+        # and pickling stores an object shared by tasks once)
+        bases = run(_fold_basis, [(v,) for v in range(V)])
+        losses = run(_cell_loss, [(candidates[i], v, bases[v]) for i, v in cells])
     fold_losses = [[None] * V for _ in candidates]
     for (i, v), cell_loss in zip(cells, losses):
         fold_losses[i][v] = cell_loss

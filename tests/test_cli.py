@@ -224,6 +224,15 @@ def test_bench_sim1_csv(capsys):
     assert len(lines) == 2
 
 
+def test_bench_sim1_with_k1_and_another_k(capsys):
+    # the K=1 cell plants all n nodes, not the n // max(K) of the other cells
+    code = main(["bench", "sim1", "--n", "200", "--k", "1,2", "--r", "0.1",
+                 "--reps", "2", "--seed", "1"])
+    assert code == 0
+    rows = [line.split(",")[2:4] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["1", "200"], ["2", "100"]]
+
+
 def test_bench_deterministic_bytes(capsys):
     argv = ["bench", "sim1", "--n", "90", "--k", "2", "--n1", "45", "--r",
             "0.2", "--reps", "2", "--seed", "11"]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from netcv.estimators import (BlockFit, clamp_probs, estimate_block, predict_P,
-                              predict_P_matrix, _pair_sums)
+from netcv.estimators import clamp_probs, estimate_block, _pair_sums
 from netcv.models import DcbmParams, SbmParams, expected_P, sample, sim1_params
 
 
@@ -34,6 +33,17 @@ def pair_sums_oracle(A, N1, N2, g, k, psi=None):
                 Num[b, a] += A[i, j]
                 Den[b, a] += w
     return Num, Den
+
+
+def predicted_P(fit):
+    """Predicted edge probabilities among the nodes of a fit, from their
+    definition: B[g_i, g_j] psi_i psi_j (psi = 1 for the plain model),
+    clamped to [1e-6, 1 - 1e-6], with a zero diagonal."""
+    g = fit.g_hat - 1
+    psi = np.ones(g.size) if fit.psi_hat is None else fit.psi_hat
+    P = np.clip(fit.B_hat[np.ix_(g, g)] * np.outer(psi, psi), 1e-6, 1 - 1e-6)
+    np.fill_diagonal(P, 0.0)
+    return P
 
 
 def random_instance(rng, with_psi=False):
@@ -192,7 +202,7 @@ def test_dcbm_noiseless_identity():
     N1 = np.arange(0, 90, 3)
     N2 = np.setdiff1d(np.arange(90), N1)
     fit = estimate_block(P, N1, N2, g, 3, psi_hat=psi_prime)
-    Phat = predict_P_matrix(fit)
+    Phat = predicted_P(fit)
     off = ~np.eye(90, dtype=bool)
     assert np.allclose(Phat[off], P[off], atol=1e-10)
 
@@ -238,55 +248,18 @@ def test_dcbm_reduces_to_sbm_with_blockwise_constant_psi():
         psi = scale[g - 1]
         sfit = estimate_block(A, N1, N2, g, k)
         dfit = estimate_block(A, N1, N2, g, k, psi_hat=psi)
-        assert np.allclose(predict_P_matrix(sfit), predict_P_matrix(dfit),
-                           atol=1e-10)
+        assert np.allclose(predicted_P(sfit), predicted_P(dfit), atol=1e-10)
         checked += 1
     assert checked >= 10
 
 
 # ---------------------------------------------------------------- predictions
 
-def sbm_fit_2x2():
-    return BlockFit(g_hat=np.array([1, 2, 1]), B_hat=np.array([[0.6, 0.2],
-                                                               [0.2, 0.6]]))
-
-
-def test_predict_P_lookup_and_symmetry():
-    fit = sbm_fit_2x2()
-    assert predict_P(fit, 0, 1) == 0.2
-    assert predict_P(fit, 0, 2) == 0.6
-    assert predict_P(fit, 1, 0) == predict_P(fit, 0, 1)
-
-
-def test_predict_P_rejects_self_pair():
-    with pytest.raises(ValueError):
-        predict_P(sbm_fit_2x2(), 1, 1)
-
-
-def test_predict_P_clamps_dcbm_overflow():
-    fit = BlockFit(g_hat=np.array([1, 1]), B_hat=np.array([[1.3]]),
-                   psi_hat=np.array([1.0, 1.0]))
-    assert predict_P(fit, 0, 1) == 1 - 1e-6
-
-
 def test_clamp_leaves_interior_untouched():
     p = np.array([1e-6, 0.5, 1 - 1e-6])
     assert np.array_equal(clamp_probs(p), p)
     assert clamp_probs(np.array([0.0]))[0] == 1e-6
     assert clamp_probs(np.array([1.0]))[0] == 1 - 1e-6
-
-
-def test_predict_P_matrix_matches_scalar():
-    rng = np.random.default_rng(5)
-    A, N1, N2, g, k, psi = random_instance(rng, with_psi=True)
-    fit = estimate_block(A, N1, N2, g, k, psi_hat=psi)
-    P = predict_P_matrix(fit)
-    n = len(g)
-    assert np.all(np.diag(P) == 0)
-    for i in range(0, n, 3):
-        for j in range(0, n, 2):
-            if i != j:
-                assert np.isclose(P[i, j], predict_P(fit, i, j), atol=1e-15)
 
 
 def test_unit_psi_is_the_plain_fit_bit_for_bit():
@@ -310,6 +283,5 @@ def test_unit_psi_is_the_plain_fit_bit_for_bit():
         unit = estimate_block(A, N1, N2, g, k, psi_hat=np.ones(n))
         assert plain.psi_hat is None
         assert plain.B_hat.tobytes() == unit.B_hat.tobytes()
-        assert (predict_P_matrix(plain).tobytes()
-                == predict_P_matrix(unit).tobytes())
+        assert predicted_P(plain).tobytes() == predicted_P(unit).tobytes()
     assert empty >= 50

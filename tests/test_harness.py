@@ -108,6 +108,17 @@ def test_run_sim1_rejects_grid_with_no_feasible_cell():
         run_sim1(small_spec(K=(3,), n1=(60,)))
 
 
+def test_run_sim1_k1_plants_all_nodes_and_keeps_the_other_rows():
+    # a K=1 cell runs once per r with n1 = n, whatever the n1 grid; every
+    # cell is seeded by its own key, so the K=2 rows keep their bytes
+    spec = dict(n1=(30, 60), r=(0.1, 0.2), reps=2)
+    both = run_sim1(small_spec(K=(1, 2), **spec)).csv_text().splitlines()
+    alone = run_sim1(small_spec(K=(2,), **spec)).csv_text().splitlines()
+    assert [line.split(",")[2:4] for line in both[1:]] == [
+        ["1", "120"], ["2", "30"], ["2", "60"]] * 2
+    assert [both[0]] + [line for line in both[1:] if line.split(",")[2] == "2"] == alone
+
+
 def test_run_sim1_bitwise_reproducible():
     a = run_sim1(small_spec()).csv_text()
     b = run_sim1(small_spec()).csv_text()
@@ -152,8 +163,8 @@ def _marked_task(marks, busy_in_caller, caller, i, n):
 
 def test_tasks_keep_their_order(monkeypatch):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
-    squares = netcv.ncv._run_tasks(pow, [(i, 2) for i in range(7)], 3)
-    assert squares == [i * i for i in range(7)]
+    powers = netcv.ncv._run_tasks(pow, 2, [(i,) for i in range(7)], 3)
+    assert powers == [2**i for i in range(7)]
 
 
 @pytest.mark.parametrize("busy", ["caller", "worker"])
@@ -163,8 +174,8 @@ def test_a_free_process_takes_every_task_left_while_the_other_is_busy(
     # it runs, leaves the busy process tasks that it waits for itself
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
     n = 8
-    tasks = [(tmp_path, busy == "caller", os.getpid(), i, n) for i in range(n)]
-    pids = netcv.ncv._run_tasks(_marked_task, tasks, 2)
+    tasks = [(busy == "caller", os.getpid(), i, n) for i in range(n)]
+    pids = netcv.ncv._run_tasks(_marked_task, tmp_path, tasks, 2)
     in_busy = [(pid == os.getpid()) == (busy == "caller") for pid in pids]
     waited = in_busy.index(True)
     assert waited <= 1 and not any(in_busy[waited + 1:])
@@ -340,3 +351,17 @@ def test_success_table_csv_and_json(tmp_path):
     blob = json.loads(table.to_json())
     assert blob["which"] == "sim1"
     assert blob["rows"] == table.rows
+
+
+def test_success_table_json_writes_a_nan_rate_as_null():
+    # a strict JSON parser refuses NaN; the CSV keeps writing it as nan
+    table = netcv.harness.SuccessTable("sim3", 1, ["K", "k_rate"],
+                                       [{"K": 2, "k_rate": float("nan")},
+                                        {"K": 3, "k_rate": 0.5}])
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    blob = json.loads(table.to_json(), parse_constant=refuse)
+    assert blob["rows"] == [{"K": 2, "k_rate": None}, {"K": 3, "k_rate": 0.5}]
+    assert table.csv_text() == "K,k_rate\n2,nan\n3,0.5\n"

@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 import netcv.ncv
 from netcv.graphs import check_adjacency, partition_nodes
 from netcv.models import SbmParams, sample, sim1_params
-from netcv.ncv import (Candidate, candidate_grid, canonical_loss,
-                       fold_fit_validate, loss, ncv_select, repeat_ncv)
+from netcv.ncv import (Candidate, _loss_array, candidate_grid, canonical_loss,
+                       fold_fit_validate, ncv_select, repeat_ncv)
+from test_estimators import predicted_P
 
 
 def planted_A(n=120, seed=0, p_in=1.0, p_out=0.0):
@@ -29,6 +30,10 @@ def planted_A(n=120, seed=0, p_in=1.0, p_out=0.0):
 
 
 # ---------------------------------------------------------------- loss
+
+def loss(name, x, p):
+    return _loss_array(canonical_loss(name), x, p)
+
 
 def test_loss_values():
     assert loss("squared", 1, 0.5) == 0.25
@@ -65,17 +70,17 @@ def test_fold_loss_is_ordered_pair_sum():
                             np.random.default_rng(5))
 
     from netcv.spectral import spectral_cluster_rect
-    from netcv.estimators import estimate_block, predict_P
+    from netcv.estimators import estimate_block
 
     Nv = partition[1]
     rows = np.setdiff1d(np.arange(30), Nv)
     g_hat = spectral_cluster_rect(A[rows, :], 2, np.random.default_rng(5))
-    fit = estimate_block(A, rows, Nv, g_hat, 2)
+    P = predicted_P(estimate_block(A, rows, Nv, g_hat, 2))
     manual = 0.0
     for i in Nv:
         for j in Nv:
             if i != j:
-                manual += (A[i, j] - predict_P(fit, int(i), int(j))) ** 2
+                manual += (A[i, j] - P[i, j]) ** 2
     assert np.isclose(got, manual, rtol=1e-12)
     # ordered sum is twice the unordered sum by symmetry
     unordered = manual / 2
@@ -85,8 +90,7 @@ def test_fold_loss_is_ordered_pair_sum():
 def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
     """The held-out loss read off the full n x n predicted matrix, with the
     whole adjacency matrix cast to float."""
-    from netcv.estimators import estimate_block, predict_P_matrix
-    from netcv.ncv import _loss_array
+    from netcv.estimators import estimate_block
     from netcv.spectral import spectral_cluster_rect, spherical_spectral_cluster_rect
 
     Af = np.asarray(A, dtype=float)
@@ -100,7 +104,7 @@ def full_matrix_fold_loss(A, partition, v, cand, kind, rng, basis):
     fit = estimate_block(Af, rows, Nv, g, cand.K, psi_hat=psi)
     block = np.ix_(Nv, Nv)
     off = ~np.eye(Nv.size, dtype=bool)
-    return float(_loss_array(kind, Af[block][off], predict_P_matrix(fit)[block][off]).sum())
+    return float(_loss_array(kind, Af[block][off], predicted_P(fit)[block][off]).sum())
 
 
 # The held-out loss is summed per label pair (plain model) or in row
@@ -340,20 +344,26 @@ def test_cell_error_reaches_the_caller(where, monkeypatch, failing_in):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(netcv.ncv, "fold_fit_validate",
                         failing_in(netcv.ncv.fold_fit_validate, where, "cell"))
-    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    A = check_adjacency(planted_A(60, p_in=0.8, p_out=0.1, seed=12)[0])
+    ref = weakref.ref(A)
     with pytest.raises(ValueError, match=f"cell failed in the {where}"):
         ncv_select(A, [("sbm", 2)], V=2, seed=0, threads=2)
-    assert netcv.ncv._RUNNING == {}
+    del A  # the failed select keeps no reference to its input
+    gc.collect()
+    assert ref() is None
 
 
 def test_fold_svd_error_reaches_the_caller(monkeypatch, failing_in):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(netcv.ncv, "top_k_right_singular",
                         failing_in(netcv.ncv.top_k_right_singular, "worker", "fold SVD"))
-    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    A = check_adjacency(planted_A(60, p_in=0.8, p_out=0.1, seed=12)[0])
+    ref = weakref.ref(A)
     with pytest.raises(ValueError, match="fold SVD failed in the worker"):
         ncv_select(A, [("sbm", 2)], V=3, seed=0)
-    assert netcv.ncv._RUNNING == {}
+    del A  # the failed select keeps no reference to its input
+    gc.collect()
+    assert ref() is None
 
 
 def test_fold_svds_and_cells_both_run_on_two_processes(tmp_path, monkeypatch):
