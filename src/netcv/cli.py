@@ -70,6 +70,8 @@ def cmd_simulate(args):
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     n, k = args.n, args.k
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"--k must be >= 1, got {k}")
     sizes = [n // k] * k

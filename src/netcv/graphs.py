@@ -18,7 +18,6 @@ from itertools import filterfalse
 
 import numpy as np
 from scipy.sparse import csr_array, issparse, triu
-from scipy.sparse.csgraph import connected_components
 
 _READ_CHARS = 1 << 14  # size hint of one fh.readlines() chunk of an edge list
 _WRITE_EDGES = 1 << 12  # edges formatted per block of rows of an edge list
@@ -196,6 +195,9 @@ def largest_connected_component(A):
     nodes : ndarray
         Original indices of the retained nodes, ascending.
     """
+    # imported here: 2 MiB of netcv's import, for the polblogs path alone
+    from scipy.sparse.csgraph import connected_components
+
     A = A.tocsr() if issparse(A) else np.asarray(A)
     if A.shape[0] < 1:
         raise ValueError("graph must have at least one node")

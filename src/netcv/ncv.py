@@ -10,9 +10,9 @@ and the one with the smallest summed loss wins.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
+import mmap
 import multiprocessing
 import os
 import threading
@@ -25,7 +25,7 @@ from scipy.sparse import csr_array
 
 from .estimators import _estimate_block, clamp_probs
 from .graphs import check_adjacency, partition_nodes
-from .spectral import (top_k_right_singular, spectral_cluster_rect,
+from .spectral import (SingularBasis, top_k_right_singular, spectral_cluster_rect,
                        spherical_spectral_cluster_rect)
 
 logger = logging.getLogger(__name__)
@@ -201,110 +201,158 @@ def _worker_count(threads, n_tasks, cpus):
     return min(threads or cpus, n_tasks, cpus)
 
 
-@contextlib.contextmanager
-def _processes(threads, n_tasks, shared):
-    """Yield ``run(fn, tasks)``, which returns ``[fn(shared, *t) for t in
-    tasks]`` computed on up to ``threads`` processes; ``n_tasks`` is the
-    length of the longest list the caller will run.
-
-    With w > 1 processes the caller and w - 1 workers forked from it at
-    the first ``run`` share one counter of claimed tasks
-    (``_claim_tasks``): each takes the next task in order whenever it is
-    free, so no process idles while a task is left and costliest-first
-    lists end on the cheap tasks.  Workers are forked, not spawned,
-    because a spawned worker would import netcv again (most of a second)
-    and would have to unpickle ``shared``: a forked one gets ``shared`` and
-    the counter through the pool initializer's arguments, which a fork
-    hands over without pickling; what a worker needs that did not exist
-    at the fork must travel in the task.
-    The tasks run in sequence where the platform cannot fork, in a
-    daemonic process (a multiprocessing pool's worker, which may not start
-    children), and while other threads run (a child forked then can
-    deadlock on a lock another thread held).  A task's exception stops
-    every process from claiming more and reaches the caller.
-    """
-    w = _worker_count(threads, n_tasks, _usable_cpus())
-    if (w <= 1 or multiprocessing.current_process().daemon
+def _process_count(threads, n_tasks):
+    """``_worker_count`` on the usable CPUs, or 1 where no pool may fork:
+    on a platform that cannot fork, in a daemonic process (a
+    multiprocessing pool's worker, which may not start children), and
+    while other threads run (a child forked then can deadlock on a lock
+    another thread held)."""
+    if (multiprocessing.current_process().daemon
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
-        yield lambda fn, tasks: [fn(shared, *t) for t in tasks]
-        return
-    ctx = multiprocessing.get_context("fork")
-    claimed = ctx.Value("q", 0)
-    with ProcessPoolExecutor(w - 1, mp_context=ctx, initializer=_share_pool,
-                             initargs=(claimed, shared)) as pool:
-
-        def run(fn, tasks):
-            with claimed.get_lock():
-                claimed.value = 0
-            futures = [pool.submit(_claim_tasks, fn, tasks) for _ in range(w - 1)]
-            try:
-                results = _claim_tasks(fn, tasks, (claimed, shared))
-                for future in futures:
-                    results.update(future.result())
-            except BaseException:  # a worker's error, or an interrupt while waiting
-                with claimed.get_lock():
-                    claimed.value = len(tasks)
-                raise
-            return [results[i] for i in range(len(tasks))]
-
-        yield run
+        return 1
+    return _worker_count(threads, n_tasks, _usable_cpus())
 
 
 def _run_tasks(fn, shared, tasks, threads):
     """``[fn(shared, *t) for t in tasks]``, run on up to ``threads``
-    processes (see ``_processes``)."""
-    with _processes(threads, len(tasks), shared) as run:
-        return run(fn, tasks)
+    processes (see ``_run_on``)."""
+    return _run_on(_process_count(threads, len(tasks)), fn, shared, tasks)
 
 
-# In a worker process of ``_processes``: its pool's (claimed, shared), the
-# count of the running task list's claimed tasks, shared with the caller
-# and the other workers, and the argument passed to every task.
+def _run_on(w, fn, shared, tasks, after=None):
+    """``[fn(shared, *t) for t in tasks]`` computed on ``w`` processes;
+    task i starts only once task ``after[i]`` < i has returned (-1, or no
+    ``after``: at once).  With w = 1 the tasks run in order in the caller.
+
+    With w > 1 the caller and w - 1 workers forked from it share one
+    ``_Board``: whenever a process is free it takes the first free task
+    whose ``after`` task is done, and it waits only while every free task
+    waits on a running one, so no process idles while a task it could
+    run is left, and costliest-first lists end on the cheap tasks.
+    Workers are forked, not spawned, because a spawned worker would
+    import netcv again (most of a second) and would have to unpickle
+    ``shared``: a forked one gets ``shared`` and the board through the
+    pool initializer's arguments, which a fork hands over without
+    pickling.  Tasks may pass data to later tasks through anonymous
+    shared memory in ``shared``, which the fork also hands over.  A
+    task's exception stops every process from claiming more, wakes the
+    waiting ones, and reaches the caller.
+    """
+    if w <= 1:
+        return [fn(shared, *t) for t in tasks]
+    ctx = multiprocessing.get_context("fork")
+    board = _Board(ctx, [-1] * len(tasks) if after is None else after)
+    with ProcessPoolExecutor(w - 1, mp_context=ctx, initializer=_share_pool,
+                             initargs=(board, shared)) as pool:
+        futures = [pool.submit(_claim_tasks, fn, tasks) for _ in range(w - 1)]
+
+        def lost():  # a worker failed or died; its future holds why
+            return any(f.done() and f.exception() is not None for f in futures)
+
+        try:
+            results = _claim_tasks(fn, tasks, (board, shared), lost)
+            for future in futures:
+                results.update(future.result())
+        except BaseException:  # a worker's error, or an interrupt while waiting
+            board.stop()
+            raise
+    return [results[i] for i in range(len(tasks))]
+
+
+_POLL_S = 0.1  # a waiting process checks this often whether the others are gone
+
+
+class _Board:
+    """Which tasks of one list are claimed and done, shared by the caller
+    and the workers forked after it was made: one byte per task in
+    anonymous shared memory, read and written under one condition
+    variable, and each task's ``after`` task (-1: none)."""
+
+    def __init__(self, ctx, after):
+        self.after = after
+        self.caller = os.getpid()
+        self.cond = ctx.Condition()
+        # each task's state (0 free, 1 claimed, 2 done), then 1 once stopped
+        self.state = memoryview(mmap.mmap(-1, len(after) + 1)).cast("b")
+
+    def claim(self, lost):
+        """Mark as claimed and return the first free task whose ``after``
+        task is done; None once the list is stopped or every task is
+        claimed.  While every free task waits on a running one, waits for
+        a task to end, and gives up when ``lost()`` is true (asked every
+        ``_POLL_S`` seconds of waiting)."""
+        s, after = self.state, self.after
+        with self.cond:
+            while not s[-1]:
+                free = [i for i in range(len(after)) if not s[i]]
+                if not free:
+                    return None
+                for i in free:
+                    if after[i] < 0 or s[after[i]] == 2:
+                        s[i] = 1
+                        return i
+                if not self.cond.wait(_POLL_S) and lost():
+                    return None
+            return None
+
+    def finish(self, i):
+        with self.cond:
+            self.state[i] = 2
+            self.cond.notify_all()
+
+    def stop(self):
+        with self.cond:
+            self.state[-1] = 1
+            self.cond.notify_all()
+
+
+# In a worker process of ``_run_on``: its pool's (board, shared), the
+# claim state of the running task list, shared with the caller and the
+# other workers, and the argument passed to every task.
 _INITARGS = None
 
 
-def _share_pool(claimed, shared):
+def _share_pool(board, shared):
     global _INITARGS
-    _INITARGS = (claimed, shared)
+    _INITARGS = (board, shared)
 
 
-def _claim_tasks(fn, tasks, initargs=None):
-    """Run ``fn(shared, *tasks[i])`` for each index i claimed from the
-    shared counter, with (claimed, shared) from ``initargs`` (a worker's
-    own ``_INITARGS`` when None), until none is left; returns the results
-    by index.  On an exception it marks every task claimed, so that the
+def _claim_tasks(fn, tasks, initargs=None, lost=None):
+    """Run ``fn(shared, *tasks[i])`` for each task i claimed from the
+    board, with (board, shared) from ``initargs`` (a worker's own
+    ``_INITARGS`` when None), until none is left; returns the results by
+    index.  ``lost`` tells a waiting process to give up (for a worker: its
+    caller is gone).  On an exception it stops the board, so that the
     other processes stop after their current task."""
-    claimed, shared = _INITARGS if initargs is None else initargs
+    board, shared = _INITARGS if initargs is None else initargs
+    if lost is None:
+        def lost():
+            return os.getppid() != board.caller
     done = {}
-    while True:
-        with claimed.get_lock():
-            i = claimed.value
-            claimed.value = i + 1
-        if i >= len(tasks):
-            return done
+    while (i := board.claim(lost)) is not None:
         try:
             done[i] = fn(shared, *tasks[i])
         except BaseException:
-            with claimed.get_lock():
-                claimed.value = len(tasks)
+            board.stop()
             raise
+        board.finish(i)
+    return done
 
 
-def _fold_basis(select, v):
-    """Fold SVD of a select's inputs ``select`` (see ``_select``): the
-    top-kmax right singular basis of the rows outside fold v."""
-    A, _, fit_rows, kmax, _, _ = select
-    return top_k_right_singular(_FitRows(A[fit_rows[v]]), kmax)
-
-
-def _cell_loss(select, candidate, v, basis):
-    """Held-out loss of one (candidate, fold) cell of a select's inputs
-    ``select`` (see ``_select``), given the fold's basis."""
-    A, partition, fit_rows, _, kind, seed = select
+def _select_task(select, candidate, v):
+    """One task of a select's list, with the select's inputs ``select``
+    (see ``_select``): when ``candidate`` is None, fold v's SVD, the
+    top-kmax right singular basis of the rows outside fold v, which it
+    writes into the select's buffer; else the held-out loss of the
+    (candidate, fold v) cell, from the basis in that buffer."""
+    A, partition, fit_rows, kmax, kind, seed, U, sigma = select
+    if candidate is None:
+        U[v], sigma[v] = top_k_right_singular(_FitRows(A[fit_rows[v]]), kmax)
+        return None
     return fold_fit_validate(A, partition, v, candidate, kind,
-                             _cell_rng(seed, candidate, v), basis=basis,
-                             fit_rows=fit_rows[v])
+                             _cell_rng(seed, candidate, v),
+                             basis=SingularBasis(U[v], sigma[v]), fit_rows=fit_rows[v])
 
 
 def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
@@ -319,13 +367,16 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     CSR adjacency (``check_adjacency``), on which the whole select runs
     in memory bounded by the edges plus one held-out block.
 
-    The V fold SVDs, then the (candidate, fold) cells, run on up to
-    ``threads`` processes (every usable CPU when None, in sequence when
-    1): the caller and workers forked from it once, which get the
-    adjacency and the partition through the fork (``_processes``) and are
-    sent the fold bases; each process takes the next task whenever it is
-    free.  Each cell draws from its own seeded generator, so the report
-    does not depend on ``threads``.
+    One task list, the V fold SVDs and then the (candidate, fold) cells,
+    runs on up to ``threads`` processes (every usable CPU when None, in
+    sequence when 1): the caller and workers forked from it once, which
+    get the adjacency, the partition and a shared buffer for the fold
+    bases through the fork (``_run_on``).  Each fold SVD writes its basis
+    into that buffer, and each cell reads its fold's basis there, so no
+    basis is pickled; a free process takes the next task whose fold basis
+    is ready.  Each cell draws from its own seeded generator, so the
+    report does not depend on ``threads``.  At debug level the caller logs
+    each fold's kmax singular values.
     ``threads`` below 1 is refused, and so is a fold of fewer than 2
     nodes or a K above a fold's fitting rows, before any SVD runs.
     """
@@ -359,21 +410,28 @@ def _select(A, candidates, V, fn, seed, threads=None) -> NcvReport:
         if kmax > n - Nv.size:
             raise ValueError(f"K={kmax} exceeds fitting rows ({n - Nv.size})")
 
-    # costliest cells first (larger K, then the degree-corrected model), so
+    # the task list: the fold SVDs, then the cells, each after its fold's
+    # SVD, costliest first (larger K, then the degree-corrected model), so
     # that the processes end on the cheap cells
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].K, -_MODEL_ORDER[candidates[i].model]))
     cells = [(i, v) for i in order for v in range(V)]
+    tasks = [(None, v) for v in range(V)] + [(candidates[i], v) for i, v in cells]
+    w = _process_count(threads, len(tasks))
+    # one basis per fold, shared by every candidate: U[v] and sigma[v] hold
+    # the bytes of fold v's SVD, in anonymous shared memory when workers
+    # fork, which they see and write through the fork
+    size = V * (n + 1) * kmax
+    buf = np.empty(size) if w == 1 else np.frombuffer(mmap.mmap(-1, 8 * size))
+    U, sigma = buf[:V * n * kmax].reshape(V, n, kmax), buf[V * n * kmax:].reshape(V, kmax)
     # the select's inputs: fit_rows[v] holds the sorted nodes outside fold v
     select = (A, partition, [np.setdiff1d(np.arange(n), Nv) for Nv in partition],
-              kmax, kind, seed)
-    with _processes(threads, len(cells), select) as run:
-        # one decomposition per fold, shared by every candidate; the
-        # workers forked before the bases existed, so each cell task
-        # carries its fold's (a task list is pickled once per worker,
-        # and pickling stores an object shared by tasks once)
-        bases = run(_fold_basis, [(v,) for v in range(V)])
-        losses = run(_cell_loss, [(candidates[i], v, bases[v]) for i, v in cells])
+              kmax, kind, seed, U, sigma)
+    losses = _run_on(w, _select_task, select, tasks, [-1] * V + [v for _, v in cells])[V:]
+    if logger.isEnabledFor(logging.DEBUG):
+        for v in range(V):
+            logger.debug("fold %d of %d: top %d singular values %s", v, V, kmax,
+                         " ".join(f"{s:.6g}" for s in sigma[v]))
     fold_losses = [[None] * V for _ in candidates]
     for (i, v), cell_loss in zip(cells, losses):
         fold_losses[i][v] = cell_loss

@@ -118,6 +118,15 @@ def test_simulate_rejects_nonpositive_k(tmp_path, capsys, k):
     assert not (tmp_path / "e.txt").exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_simulate_rejects_nonpositive_n(tmp_path, capsys, n):
+    code = main(["simulate", "sbm", "--n", n, "--k", "2", "--b-diag", "0.5",
+                 "--b-off", "0.1", "--seed", "1", "--output", str(tmp_path / "e.txt")])
+    assert code == 2
+    assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "e.txt").exists()
+
+
 # ---------------------------------------------------------------- select
 
 def test_select_reports_json(graph_file, capsys):

@@ -522,15 +522,26 @@ def test_hamming_zero_on_relabeling():
     assert hamming_up_to_permutation(g, relabeled) == 0
 
 
+def _loaded_by_import(module):
+    """Whether a fresh interpreter has ``module`` loaded after importing netcv."""
+    src = os.path.dirname(os.path.dirname(netcv.__file__))
+    code = ("import sys, netcv, netcv.cli, netcv.harness; "
+            f"print({module!r} in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    return out.stdout.strip() == "True"
+
+
 def test_import_leaves_the_assignment_solver_unloaded():
     # scipy.optimize is about a quarter of netcv's import time, and only
     # hamming_up_to_permutation needs it
-    src = os.path.dirname(os.path.dirname(netcv.__file__))
-    code = ("import sys, netcv, netcv.cli, netcv.harness; "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert not _loaded_by_import("scipy.optimize")
+
+
+def test_import_leaves_the_component_finder_unloaded():
+    # scipy.sparse.csgraph holds about 2 MiB, and only
+    # largest_connected_component (the polblogs path) needs it
+    assert not _loaded_by_import("scipy.sparse.csgraph")
 
 
 def test_hamming_counts_disagreements():

@@ -1,13 +1,18 @@
 """Cross-validation core: fold losses, selection, reports, reproducibility."""
 
+import contextlib
 import gc
 import json
+import logging
 import multiprocessing
 import os
+import signal
 import sys
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import numpy as np
@@ -353,10 +358,27 @@ def test_cell_error_reaches_the_caller(where, monkeypatch, failing_in):
     assert ref() is None
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this process once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_fold_svd_error_reaches_the_caller(monkeypatch, failing_in):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    real_svd, real_cell = netcv.ncv.top_k_right_singular, netcv.ncv.fold_fit_validate
+    # the worker's SVD fails while the caller's runs
     monkeypatch.setattr(netcv.ncv, "top_k_right_singular",
-                        failing_in(netcv.ncv.top_k_right_singular, "worker", "fold SVD"))
+                        failing_in(real_svd, "worker", "fold SVD"))
     A = check_adjacency(planted_A(60, p_in=0.8, p_out=0.1, seed=12)[0])
     ref = weakref.ref(A)
     with pytest.raises(ValueError, match="fold SVD failed in the worker"):
@@ -364,6 +386,124 @@ def test_fold_svd_error_reaches_the_caller(monkeypatch, failing_in):
     del A  # the failed select keeps no reference to its input
     gc.collect()
     assert ref() is None
+
+    # one side's SVD fails while the other side, its own fold and that
+    # fold's cell done, waits for the failing fold's basis
+    ctx = multiprocessing.get_context("fork")
+    for where in ("worker", "caller"):
+        caller = os.getpid()
+        started, other_done, cell_done = ctx.Event(), ctx.Event(), ctx.Event()
+
+        def svd(*args, **kwargs):
+            if (os.getpid() == caller) == (where == "caller"):
+                started.set()
+                if other_done.wait(30) and cell_done.wait(30):
+                    time.sleep(0.2)  # the other side is waiting by now
+                raise ValueError(f"fold SVD failed in the {where}")
+            started.wait(30)
+            result = real_svd(*args, **kwargs)
+            other_done.set()
+            return result
+
+        def cell(*args, **kwargs):
+            result = real_cell(*args, **kwargs)
+            cell_done.set()
+            return result
+
+        monkeypatch.setattr(netcv.ncv, "top_k_right_singular", svd)
+        monkeypatch.setattr(netcv.ncv, "fold_fit_validate", cell)
+        A = check_adjacency(planted_A(60, p_in=0.8, p_out=0.1, seed=12)[0])
+        ref = weakref.ref(A)
+        children = set(multiprocessing.active_children())
+        t0 = time.monotonic()
+        with _time_limit(60), pytest.raises(ValueError,
+                                            match=f"fold SVD failed in the {where}"):
+            ncv_select(A, [("sbm", 2)], V=2, seed=0)
+        assert time.monotonic() - t0 < 30
+        assert other_done.is_set() and cell_done.is_set()
+        assert set(multiprocessing.active_children()) <= children  # no worker left
+        del A
+        gc.collect()
+        assert ref() is None
+
+
+def test_a_worker_that_dies_in_a_fold_svd_stops_the_select(monkeypatch):
+    # the caller, its own fold and that fold's cell done, waits for the
+    # dead worker's basis until it sees the broken pool
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    caller = os.getpid()
+    started = multiprocessing.get_context("fork").Event()
+    real_svd = netcv.ncv.top_k_right_singular
+
+    def svd(*args, **kwargs):
+        if os.getpid() != caller:
+            started.set()
+            os._exit(1)
+        started.wait(30)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(netcv.ncv, "top_k_right_singular", svd)
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    children = set(multiprocessing.active_children())
+    with _time_limit(60), pytest.raises(BrokenProcessPool):
+        ncv_select(A, [("sbm", 2)], V=2, seed=0)
+    assert set(multiprocessing.active_children()) <= children
+
+
+def test_a_cell_starts_before_the_last_fold_svd_ends(monkeypatch):
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    cands = candidate_grid(("sbm", "dcbm"), 2)
+    expected = _select_json(A, cands, 5, threads=1)
+    ctx = multiprocessing.get_context("fork")
+    svds, cell_started, overlapped = ctx.Value("i", 0), ctx.Event(), ctx.Event()
+    real_svd, real_cell = netcv.ncv.top_k_right_singular, netcv.ncv.fold_fit_validate
+
+    def svd(*args, **kwargs):
+        # the third (last) fold SVD holds on, for up to 10 s, until some
+        # cell has started
+        with svds.get_lock():
+            svds.value += 1
+            last = svds.value == 3
+        if last and cell_started.wait(10):
+            overlapped.set()
+        return real_svd(*args, **kwargs)
+
+    def cell(*args, **kwargs):
+        cell_started.set()
+        return real_cell(*args, **kwargs)
+
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(netcv.ncv, "top_k_right_singular", svd)
+    monkeypatch.setattr(netcv.ncv, "fold_fit_validate", cell)
+    assert _select_json(A, cands, 5) == expected
+    assert svds.value == 3 and overlapped.is_set()
+
+
+def test_fold_singular_values_are_logged_at_debug_level(monkeypatch, caplog):
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
+    A, _ = planted_A(60, p_in=0.8, p_out=0.1, seed=12)
+    sigmas = []
+    real_svd = netcv.ncv.top_k_right_singular
+
+    def svd(*args, **kwargs):
+        result = real_svd(*args, **kwargs)
+        sigmas.append(result.sigma)
+        return result
+
+    monkeypatch.setattr(netcv.ncv, "top_k_right_singular", svd)
+    logged = []
+    for threads in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="netcv"):
+            ncv_select(A, candidate_grid(("sbm", "dcbm"), 3), V=3, seed=5,
+                       threads=threads)
+        logged.append([r.getMessage() for r in caplog.records if r.name == "netcv.ncv"])
+        # the spy records the threads=1 run's SVDs alone, all in this process
+        monkeypatch.setattr(netcv.ncv, "top_k_right_singular", real_svd)
+    assert len(sigmas) == 3
+    assert logged[0] == logged[1] == [
+        f"fold {v} of 3: top 3 singular values " + " ".join(f"{x:.6g}" for x in s)
+        for v, s in enumerate(sigmas)]
 
 
 def test_fold_svds_and_cells_both_run_on_two_processes(tmp_path, monkeypatch):
