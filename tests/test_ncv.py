@@ -389,9 +389,8 @@ def test_fold_svd_error_reaches_the_caller(monkeypatch, failing_in):
 
     # one side's SVD fails while the other side, its own fold and that
     # fold's cell done, waits for the failing fold's basis
-    ctx = multiprocessing.get_context("fork")
+    ctx, caller = multiprocessing.get_context("fork"), os.getpid()
     for where in ("worker", "caller"):
-        caller = os.getpid()
         started, other_done, cell_done = ctx.Event(), ctx.Event(), ctx.Event()
 
         def svd(*args, **kwargs):
@@ -415,11 +414,9 @@ def test_fold_svd_error_reaches_the_caller(monkeypatch, failing_in):
         A = check_adjacency(planted_A(60, p_in=0.8, p_out=0.1, seed=12)[0])
         ref = weakref.ref(A)
         children = set(multiprocessing.active_children())
-        t0 = time.monotonic()
-        with _time_limit(60), pytest.raises(ValueError,
+        with _time_limit(30), pytest.raises(ValueError,
                                             match=f"fold SVD failed in the {where}"):
             ncv_select(A, [("sbm", 2)], V=2, seed=0)
-        assert time.monotonic() - t0 < 30
         assert other_done.is_set() and cell_done.is_set()
         assert set(multiprocessing.active_children()) <= children  # no worker left
         del A
