@@ -25,11 +25,21 @@ from .ncv import candidate_grid, ncv_select
 
 
 def _resolve_seed(args):
+    """The seed from --seed, else from NCV_SEED, else a fresh one (printed);
+    a seed that is not a non-negative integer is refused, naming its source."""
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        return args.seed
     env = os.environ.get("NCV_SEED")
     if env is not None:
-        return int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"NCV_SEED must be a non-negative integer, got {env!r}")
+        return seed
     seed = int(np.random.SeedSequence().entropy % (2**63))
     print(f"seed not given; generated seed {seed}", file=sys.stderr)
     return seed
@@ -52,10 +62,10 @@ def _write_text(text, path):
 
 
 def cmd_select(args):
+    seed = _resolve_seed(args)
     A, _ = load_edge_list(args.input)
     models = tuple(tok for tok in args.models.split(",") if tok)
     candidates = candidate_grid(models, args.kmax)
-    seed = _resolve_seed(args)
     report = ncv_select(A, candidates, V=args.folds, fn=args.loss, seed=seed,
                         threads=args.threads)
     _write_text(report.to_json() + "\n", args.output)

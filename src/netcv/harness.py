@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import load_edge_list, largest_connected_component
 from .models import sample, sim1_params, sim2_params, sim3_params
-from .ncv import _run_tasks, candidate_grid, canonical_loss, ncv_select, repeat_ncv
+from .ncv import _run_on, candidate_grid, canonical_loss, ncv_select, repeat_ncv
 
 logger = logging.getLogger(__name__)
 
@@ -149,8 +149,8 @@ def _select_cells(spec, sim, cells):
              for key, candidates, params_of in cells for rep in range(spec.reps)]
     order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][0]))
     sels = [None] * len(tasks)
-    for i, sel in zip(order, _run_tasks(_select_rep, spec, [tasks[i] for i in order],
-                                        spec.threads)):
+    for i, sel in zip(order, _run_on(spec.threads, _select_rep, spec,
+                                     [tasks[i] for i in order])):
         sels[i] = sel
     return [sels[i:i + spec.reps] for i in range(0, len(sels), spec.reps)]
 

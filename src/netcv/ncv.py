@@ -214,16 +214,11 @@ def _process_count(threads, n_tasks):
     return _worker_count(threads, n_tasks, _usable_cpus())
 
 
-def _run_tasks(fn, shared, tasks, threads):
-    """``[fn(shared, *t) for t in tasks]``, run on up to ``threads``
-    processes (see ``_run_on``)."""
-    return _run_on(_process_count(threads, len(tasks)), fn, shared, tasks)
-
-
-def _run_on(w, fn, shared, tasks, after=None):
-    """``[fn(shared, *t) for t in tasks]`` computed on ``w`` processes;
-    task i starts only once task ``after[i]`` < i has returned (-1, or no
-    ``after``: at once).  With w = 1 the tasks run in order in the caller.
+def _run_on(threads, fn, shared, tasks, after=None):
+    """``[fn(shared, *t) for t in tasks]`` computed on w =
+    ``_process_count(threads, len(tasks))`` processes; task i starts only
+    once task ``after[i]`` < i has returned (-1, or no ``after``: at once).
+    With w = 1 the tasks run in order in the caller.
 
     With w > 1 the caller and w - 1 workers forked from it share one
     ``_Board``: whenever a process is free it takes the first free task
@@ -239,6 +234,7 @@ def _run_on(w, fn, shared, tasks, after=None):
     task's exception stops every process from claiming more, wakes the
     waiting ones, and reaches the caller.
     """
+    w = _process_count(threads, len(tasks))
     if w <= 1:
         return [fn(shared, *t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
@@ -370,13 +366,14 @@ def ncv_select(A, candidates, V: int = 3, fn: str = "negloglik",
     One task list, the V fold SVDs and then the (candidate, fold) cells,
     runs on up to ``threads`` processes (every usable CPU when None, in
     sequence when 1): the caller and workers forked from it once, which
-    get the adjacency, the partition and a shared buffer for the fold
-    bases through the fork (``_run_on``).  Each fold SVD writes its basis
-    into that buffer, and each cell reads its fold's basis there, so no
-    basis is pickled; a free process takes the next task whose fold basis
-    is ready.  Each cell draws from its own seeded generator, so the
-    report does not depend on ``threads``.  At debug level the caller logs
-    each fold's kmax singular values.
+    get the adjacency, the partition and the fold bases' buffer through
+    the fork (``_run_on``).  That buffer is one anonymous shared mapping,
+    however many processes run: each fold SVD writes its basis there, and
+    each cell reads its fold's basis there, so no basis is pickled; a free
+    process takes the next task whose fold basis is ready.  Each cell
+    draws from its own seeded generator, so the report does not depend on
+    ``threads``.  At debug level the caller logs each fold's kmax singular
+    values.
     ``threads`` below 1 is refused, and so is a fold of fewer than 2
     nodes or a K above a fold's fitting rows, before any SVD runs.
     """
@@ -417,17 +414,17 @@ def _select(A, candidates, V, fn, seed, threads=None) -> NcvReport:
                    key=lambda i: (-candidates[i].K, -_MODEL_ORDER[candidates[i].model]))
     cells = [(i, v) for i in order for v in range(V)]
     tasks = [(None, v) for v in range(V)] + [(candidates[i], v) for i, v in cells]
-    w = _process_count(threads, len(tasks))
     # one basis per fold, shared by every candidate: U[v] and sigma[v] hold
-    # the bytes of fold v's SVD, in anonymous shared memory when workers
-    # fork, which they see and write through the fork
+    # the bytes of fold v's SVD, in anonymous shared memory, which forked
+    # workers see and write through the fork
     size = V * (n + 1) * kmax
-    buf = np.empty(size) if w == 1 else np.frombuffer(mmap.mmap(-1, 8 * size))
+    buf = np.frombuffer(mmap.mmap(-1, 8 * size))
     U, sigma = buf[:V * n * kmax].reshape(V, n, kmax), buf[V * n * kmax:].reshape(V, kmax)
     # the select's inputs: fit_rows[v] holds the sorted nodes outside fold v
     select = (A, partition, [np.setdiff1d(np.arange(n), Nv) for Nv in partition],
               kmax, kind, seed, U, sigma)
-    losses = _run_on(w, _select_task, select, tasks, [-1] * V + [v for _, v in cells])[V:]
+    after = [-1] * V + [v for _, v in cells]
+    losses = _run_on(threads, _select_task, select, tasks, after)[V:]
     if logger.isEnabledFor(logging.DEBUG):
         for v in range(V):
             logger.debug("fold %d of %d: top %d singular values %s", v, V, kmax,

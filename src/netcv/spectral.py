@@ -20,16 +20,16 @@ a median has the bits of ``geometric_median`` on that cluster alone.
 Weiszfeld steps with the Vardi-Zhang correction take over, one cluster
 at a time, where Newton cannot go on (an iterate on a data point,
 collinear points, a stalled line search) and lift it out of a data point
-that is not the median.
+that is not the median; a cluster that Newton then resumes steps on in
+its batch.
 
 Both clusterers keep the best of ``_RESTARTS`` seeded restarts.  All
 start centers are drawn first, in restart order (the runs draw no random
 numbers), and in lockstep: every restart's k-means++ draws are taken in
 the order of seeding one restart after another, then the distance
 weights of all restarts are updated together.  A restart whose weights
-sum to 0 would draw an index in place of a uniform, so then the
-restarts are seeded one by one from the saved generator state.  The
-runs then go in lockstep, each pass assigning and updating every run
+sum to 0 (every point on one of its centers) takes point 0.  The runs
+then go in lockstep, each pass assigning and updating every run
 not yet settled.  Each run does the arithmetic of a run on its
 own, and the first run with the smallest objective wins, so the result
 is that of sequential restarts that replace the best only on a strictly
@@ -98,12 +98,15 @@ def top_k_right_singular(M, k: int) -> SingularBasis:
     Lanczos basis to be smaller than the whole space take a dense SVD,
     and an all-zero matrix gives sigma = 0 with the first k unit
     vectors.  Column signs follow a fixed convention (largest-magnitude
-    entry positive) for reproducibility.
+    entry positive) for reproducibility.  A NaN or infinite entry is
+    refused with ValueError.
     """
     M = csr_array(M, dtype=float)
     m, n = M.shape
     if k < 1 or k > min(m, n):
         raise ValueError(f"need 1 <= k <= min(M.shape), got k={k}, shape={M.shape}")
+    if not np.isfinite(M.data).all():
+        raise ValueError("need finite entries, got NaN or inf")
     if not M.data.any():
         return SingularBasis(np.eye(n, k), np.zeros(k))
     if min(m, n) <= max(2 * k + 1, 20):
@@ -123,43 +126,19 @@ def top_k_right_singular(M, k: int) -> SingularBasis:
     return SingularBasis(_fix_signs(Q @ Zt.T), s)
 
 
-def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator, squared: bool) -> np.ndarray:
-    """k-means++ style seeding; distance weights are squared for k-means,
-    plain for k-median."""
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[int(rng.integers(n))]
-    if k == 1:
-        return centers
-    dmin = _dist(X - centers[0])
-    for c in range(1, k):
-        w = dmin**2 if squared else dmin
-        total = w.sum()
-        if total > 0.0:
-            # the draw of rng.choice(n, p=w / total), without its checks on p
-            cdf = np.cumsum(w / total)
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            idx = int(rng.integers(n))
-        centers[c] = X[idx]
-        dmin = np.minimum(dmin, _dist(X - centers[c]))
-    return centers
-
-
 def _seed_runs(X: np.ndarray, k: int, runs: int, rng: np.random.Generator,
                squared: bool) -> np.ndarray:
-    """``runs`` calls of ``_seed_centers`` in lockstep: start centers
-    (runs, k, d) with the bits of those calls, and the generator left in
-    the same state.  Each run's draws come first, in the calls' order
-    (its first index, then one uniform per further center); the k-means++
-    updates then go on (runs, n) arrays, the distances summed column by
-    column as in ``_nearest``.  A run whose weights sum to 0 would draw
-    an index in place of its uniform, so then the calls run one by one
-    from the saved generator state."""
+    """k-means++ start centers (runs, k, d) of ``runs`` restarts in
+    lockstep; distance weights are squared for k-means, plain for
+    k-median.  Each run's draws come first, in restart order: its first
+    index, then one uniform per further center, taken as
+    ``rng.choice(n, p=w / w.sum())`` takes it.  The k-means++ updates then
+    go on (runs, n) arrays, the distances summed column by column as in
+    ``_nearest``.  A run whose weights sum to 0 has every point on one of
+    its centers; its NaN cdf counts no entry below the uniform, so it
+    takes point 0."""
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
-    state = rng.bit_generator.state
     picks = np.empty((runs, k), dtype=np.intp)
     u = np.empty((runs, k - 1))
     for r in range(runs):
@@ -170,12 +149,10 @@ def _seed_runs(X: np.ndarray, k: int, runs: int, rng: np.random.Generator,
         dmin = d if c == 1 else np.minimum(dmin, d, out=dmin)
         w = dmin**2 if squared else dmin
         total = w.sum(axis=1)
-        if not (total > 0.0).all():
-            rng.bit_generator.state = state
-            return np.stack([_seed_centers(X, k, rng, squared) for _ in range(runs)])
         # the draw of rng.choice(n, p=w / total): the count of cdf entries <= u
-        cdf = np.cumsum(w / total[:, None], axis=1)
-        cdf /= cdf[:, -1:].copy()
+        with np.errstate(invalid="ignore"):  # a zero total gives a NaN cdf
+            cdf = np.cumsum(w / total[:, None], axis=1)
+            cdf /= cdf[:, -1:].copy()
         picks[:, c] = (cdf <= u[:, c - 1:c]).sum(axis=1)
     return X[picks]
 
@@ -413,6 +390,8 @@ def _cluster(X, k: int, rng: np.random.Generator, update, squared: bool) -> Clus
     X = np.asarray(X, dtype=float)
     if X.shape[0] < k or X.shape[1] < 1:
         raise ValueError(f"need at least k={k} rows and one column, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("need finite entries, got NaN or inf")
     seeds = _seed_runs(X, k, _RESTARTS, rng, squared)
     labels, centers, objectives = _alternate(X, seeds, update, squared)
     best = int(np.argmin(objectives))
@@ -426,7 +405,8 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterResult:
     10 runs of at most 100 passes is kept, deterministic given the generator.
     Empty clusters are reseeded at the point farthest from its current
     center; if the data cannot fill k clusters, the result may leave
-    some labels unused.
+    some labels unused.  A NaN or infinite entry is refused with
+    ValueError.
     """
     return _cluster(X, k, rng, _means, squared=True)
 
@@ -564,49 +544,49 @@ def _newton_medians(PT: np.ndarray, counts: np.ndarray, out: np.ndarray, tol: fl
     consecutive columns of PT, see ``geometric_median``.  The sets step
     together in ``_newton_step`` and drop out as they converge; a set that
     Newton stops for another reason goes through the Weiszfeld hand-off
-    on its own and, if Newton resumes, steps on as a batch of one."""
-    starts = np.cumsum(counts) - counts
-    work = [(PT, counts, np.arange(len(counts)),
-             np.add.reduceat(PT, starts, axis=1) / counts, 0)]
-    while work:
-        PT, counts, ids, y, first = work.pop()
-        diff = np.repeat(y, counts, axis=1) - PT
-        d = _dist(diff.T)
-        for steps in range(first, max_iter):
-            y, diff, d, reasons = _newton_step(PT, counts, y, diff, d, tol)
-            going = np.equal(reasons, None)
-            if going.all():
+    on its own and, if Newton resumes, stays in the batch from its new
+    iterate, its own columns of diff and d refilled."""
+    ids = np.arange(len(counts))
+    y = np.add.reduceat(PT, np.cumsum(counts) - counts, axis=1) / counts
+    diff = np.repeat(y, counts, axis=1) - PT
+    d = _dist(diff.T)
+    for steps in range(max_iter):
+        y, diff, d, reasons = _newton_step(PT, counts, y, diff, d, tol)
+        going = np.equal(reasons, None)
+        if going.all():
+            continue
+        starts = np.cumsum(counts) - counts
+        for j in np.flatnonzero(~going):
+            if reasons[j] == "converged":
+                out[ids[j]] = y[:, j]
                 continue
-            starts = np.cumsum(counts) - counts
-            for j in np.flatnonzero(~going):
-                if reasons[j] == "converged":
-                    out[ids[j]] = y[:, j]
-                    continue
-                own = slice(starts[j], starts[j] + counts[j])
-                P, dj = np.ascontiguousarray(PT[:, own].T), d[own]
-                logger.debug("geometric median of %d points: Newton fell back to "
-                             "Weiszfeld (%s)", P.shape[0], reasons[j])
-                near = P[np.argmin(dj)]
-                if not _dist(P - near).sum() < dj.sum():
-                    out[ids[j]], settled = _weiszfeld(P, y[:, j], tol, max_iter - steps)
-                    if not settled:
-                        _warn_capped(counts[j], max_iter, tol)
-                    continue
-                yj, settled = _weiszfeld(P, near.copy(), tol, 1)
-                if settled:
-                    out[ids[j]] = yj
-                else:
-                    work.append((P.T.copy(), counts[j:j + 1], ids[j:j + 1], yj[:, None],
-                                 steps + 1))
-            if not going.any():
-                break
-            cols = np.repeat(going, counts)
-            PT, diff, d = PT.compress(cols, axis=1), diff.compress(cols, axis=1), d[cols]
-            counts, ids, y = counts[going], ids[going], y[:, going]
-        else:
-            for j, (i, count) in enumerate(zip(ids, counts)):
-                _warn_capped(count, max_iter, tol)
-                out[i] = y[:, j]
+            own = slice(starts[j], starts[j] + counts[j])
+            P, dj = np.ascontiguousarray(PT[:, own].T), d[own]
+            logger.debug("geometric median of %d points: Newton fell back to "
+                         "Weiszfeld (%s)", P.shape[0], reasons[j])
+            near = P[np.argmin(dj)]
+            if not _dist(P - near).sum() < dj.sum():
+                out[ids[j]], settled = _weiszfeld(P, y[:, j], tol, max_iter - steps)
+                if not settled:
+                    _warn_capped(counts[j], max_iter, tol)
+                continue
+            yj, settled = _weiszfeld(P, near.copy(), tol, 1)
+            if settled:
+                out[ids[j]] = yj
+            else:
+                y[:, j] = yj
+                diff[:, own] = yj[:, None] - PT[:, own]
+                d[own] = _dist(diff[:, own].T)
+                going[j] = True
+        if not going.any():
+            break
+        cols = np.repeat(going, counts)
+        PT, diff, d = PT.compress(cols, axis=1), diff.compress(cols, axis=1), d[cols]
+        counts, ids, y = counts[going], ids[going], y[:, going]
+    else:
+        for j, (i, count) in enumerate(zip(ids, counts)):
+            _warn_capped(count, max_iter, tol)
+            out[i] = y[:, j]
 
 
 def _geometric_medians(X: np.ndarray, members) -> np.ndarray:
@@ -650,12 +630,15 @@ def geometric_median(P: np.ndarray) -> np.ndarray:
     taken together; a call that reaches the cap logs a warning and returns
     the last iterate.  k-median solves many sets at once with the same
     code; every sum runs over one set's own points, so a set's median has
-    the same bits in a batch as alone.
+    the same bits in a batch as alone.  A NaN or infinite coordinate is
+    refused with ValueError.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
         raise ValueError(f"need at least one point as a row with at least one column, "
                          f"got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError("need finite entries, got NaN or inf")
     return _geometric_medians(P, [np.arange(P.shape[0])])[0]
 
 

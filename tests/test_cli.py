@@ -207,6 +207,31 @@ def test_select_env_seed_fallback(graph_file, capsys, monkeypatch):
     assert blob["seed"] == 123
 
 
+@pytest.mark.parametrize("env,message", [
+    ("abc", "NCV_SEED must be a non-negative integer, got 'abc'"),
+    ("-3", "NCV_SEED must be a non-negative integer, got '-3'"),
+])
+def test_select_bad_env_seed_exits_2(env, message, graph_file, capsys, monkeypatch):
+    monkeypatch.setenv("NCV_SEED", env)
+    code = main(["select", "--input", graph_file, "--kmax", "2", "--models", "sbm"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["select", "--input", "unused.txt"],
+    ["simulate", "sbm", "--n", "10", "--k", "2", "--b-diag", "0.5", "--b-off", "0.1",
+     "--output", "unused.txt"],
+    ["bench", "sim1", "--n", "60", "--reps", "1"],
+], ids=["select", "simulate", "bench"])
+def test_negative_seed_exits_2(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(command + ["--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not list(tmp_path.iterdir())  # refused before any file is read or written
+
+
 def test_select_generated_seed_is_printed_and_replayable(graph_file, capsys,
                                                          monkeypatch):
     monkeypatch.delenv("NCV_SEED", raising=False)

@@ -163,7 +163,7 @@ def _marked_task(marks, busy_in_caller, caller, i, n):
 
 def test_tasks_keep_their_order(monkeypatch):
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 3)
-    powers = netcv.ncv._run_tasks(pow, 2, [(i,) for i in range(7)], 3)
+    powers = netcv.ncv._run_on(3, pow, 2, [(i,) for i in range(7)])
     assert powers == [2**i for i in range(7)]
 
 
@@ -175,7 +175,7 @@ def test_a_free_process_takes_every_task_left_while_the_other_is_busy(
     monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: 2)
     n = 8
     tasks = [(busy == "caller", os.getpid(), i, n) for i in range(n)]
-    pids = netcv.ncv._run_tasks(_marked_task, tmp_path, tasks, 2)
+    pids = netcv.ncv._run_on(2, _marked_task, tmp_path, tasks)
     in_busy = [(pid == os.getpid()) == (busy == "caller") for pid in pids]
     waited = in_busy.index(True)
     assert waited <= 1 and not any(in_busy[waited + 1:])

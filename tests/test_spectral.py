@@ -17,9 +17,8 @@ from netcv.models import SbmParams, DcbmParams, expected_P, sample, sim3_params
 from netcv.graphs import hamming_up_to_permutation
 from netcv.spectral import (_alternate, _dist, _geometric_medians, _labels, _means,
                             _median_update, _nearest, _newton_step, _repair_empty,
-                            _seed_centers, _seed_runs, _weiszfeld, geometric_median, kmeans,
-                            kmedian_spherical,
-                            spectral_cluster_rect, spherical_embed,
+                            _seed_runs, _weiszfeld, geometric_median, kmeans,
+                            kmedian_spherical, spectral_cluster_rect, spherical_embed,
                             spherical_spectral_cluster_rect,
                             top_k_right_singular)
 
@@ -510,7 +509,7 @@ def memo_free_reference(X, k, rng, center_of, squared, restarts=10):
     X = np.asarray(X, dtype=float)
     best = None
     for _ in range(restarts):
-        run = reference_run(X, _seed_centers(X, k, rng, squared=squared), center_of, squared)
+        run = reference_run(X, _seed_runs(X, k, 1, rng, squared)[0], center_of, squared)
         if best is None or run[2] < best[2]:
             best = (run[0] + 1,) + run[1:]
     return best
@@ -572,21 +571,35 @@ def test_dist_matches_linalg_norm_bitwise(width):
 
 
 @pytest.mark.parametrize("cluster", [kmeans, kmedian_spherical,
-                                     lambda X, k, rng: geometric_median(X)],
-                         ids=["kmeans", "kmedian", "median"])
+                                     lambda X, k, rng: geometric_median(X),
+                                     lambda X, k, rng: top_k_right_singular(X, k)],
+                         ids=["kmeans", "kmedian", "median", "svd"])
 def test_zero_width_input_is_rejected(cluster):
-    with pytest.raises(ValueError, match="one column"):
-        cluster(np.zeros((5, 0)), 2, np.random.default_rng(0))
+    # and so is a NaN or an infinite entry, before any pass or ARPACK call
+    nan, inf = np.ones((5, 2)), np.ones((5, 2))
+    nan[3, 1], inf[0, 0] = np.nan, -np.inf
+    for X, match in [(np.zeros((5, 0)), r"one column|k <= min\(M.shape\)"),
+                     (nan, "finite"), (inf, "finite")]:
+        with pytest.raises(ValueError, match=match):
+            cluster(X, 2, np.random.default_rng(0))
 
 
-def choice_seed_reference(X, k, rng, squared):
-    """k-means++ seeding with the draw of ``rng.choice`` and in-order distances."""
+def choice_seed_reference(X, k, rng, squared, zero_totals=None):
+    """k-means++ seeding with the draw of ``rng.choice`` and in-order
+    distances; a zero total draws a uniform and takes point 0, and is
+    counted in ``zero_totals`` when given."""
     centers = [X[int(rng.integers(len(X)))]]
     dmin = in_order_norm(X - centers[0])
     for _ in range(1, k):
         w = dmin**2 if squared else dmin
         total = w.sum()
-        idx = rng.choice(len(X), p=w / total) if total > 0.0 else rng.integers(len(X))
+        if total > 0.0:
+            idx = rng.choice(len(X), p=w / total)
+        else:
+            rng.random()
+            idx = 0
+            if zero_totals is not None:
+                zero_totals.append(total)
         centers.append(X[int(idx)])
         dmin = np.minimum(dmin, in_order_norm(X - centers[-1]))
     return np.array(centers)
@@ -601,18 +614,15 @@ def test_seed_centers_draw_as_rng_choice():
         k, squared = int(rng.integers(1, min(n, 6) + 1)), bool(case % 2)
         got_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
         for _ in range(3):
-            got = _seed_centers(X, k, got_rng, squared)
+            got = _seed_runs(X, k, 1, got_rng, squared)[0]
             assert got.tobytes() == choice_seed_reference(X, k, ref_rng, squared).tobytes()
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_lockstep_seeding_draws_as_rng_choice(monkeypatch):
+def test_lockstep_seeding_draws_as_rng_choice():
     # n above 20,000 sums each run's weights over several pairwise blocks;
-    # repeated rows weigh 0, so some runs run out of weight and every run
-    # is seeded again one by one from the saved generator state
-    fallbacks = set()
-    monkeypatch.setattr(netcv.spectral, "_seed_centers",
-                        lambda *args: fallbacks.add(case) or _seed_centers(*args))
+    # repeated rows weigh 0, so some runs run out of weight and take point 0
+    zero_cases = 0
     rng = np.random.default_rng(42)
     for case in range(160):
         n = int(rng.integers(20_001, 25_014)) if case % 20 == 0 else int(rng.integers(2, 400))
@@ -622,10 +632,13 @@ def test_lockstep_seeding_draws_as_rng_choice(monkeypatch):
         runs = int(rng.integers(1, 11))
         got_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
         got = _seed_runs(X, k, runs, got_rng, squared)
-        ref = [choice_seed_reference(X, k, ref_rng, squared) for _ in range(runs)]
+        zero_totals = []
+        ref = [choice_seed_reference(X, k, ref_rng, squared, zero_totals)
+               for _ in range(runs)]
         assert got.tobytes() == np.stack(ref).tobytes()
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-    assert 0 < len(fallbacks) < 160
+        zero_cases += bool(zero_totals)
+    assert 0 < zero_cases < 160
 
 
 def test_kmeans_memory_stays_within_a_few_run_arrays():
