@@ -21,7 +21,7 @@ from .graphs import load_edge_list, write_edge_list
 from .harness import (ExperimentSpec, run_experiment, run_polblogs,
                       write_loss_curves_csv)
 from .models import DcbmParams, SbmParams, normalize_activeness, sample
-from .ncv import candidate_grid, ncv_select
+from .ncv import _LOSS_ALIASES, _MODEL_ORDER, candidate_grid, ncv_select
 
 
 def _resolve_seed(args):
@@ -150,7 +150,7 @@ def build_parser():
     ps.add_argument("--folds", type=int, default=3)
     ps.add_argument("--models", default="sbm,dcbm",
                     help="comma list from {sbm,dcbm}")
-    ps.add_argument("--loss", default="nll", choices=["nll", "l2", "negloglik", "squared"])
+    ps.add_argument("--loss", default="nll", choices=list(_LOSS_ALIASES))
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--threads", type=int, default=None,
                     help="run the (candidate, fold) cells on up to this many "
@@ -160,7 +160,7 @@ def build_parser():
     ps.set_defaults(func=cmd_select)
 
     pm = sub.add_parser("simulate", parents=[common], help="sample a block-model graph")
-    pm.add_argument("model", choices=["sbm", "dcbm"])
+    pm.add_argument("model", choices=list(_MODEL_ORDER))
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--k", type=int, required=True)
     pm.add_argument("--b-diag", type=float, required=True,
@@ -184,7 +184,7 @@ def build_parser():
                     help="comma list of sparsity levels (sim1)")
     pb.add_argument("--reps", type=int, default=20)
     pb.add_argument("--folds", type=int, default=3)
-    pb.add_argument("--loss", default="nll", choices=["nll", "l2", "negloglik", "squared"])
+    pb.add_argument("--loss", default="nll", choices=list(_LOSS_ALIASES))
     pb.add_argument("--kmax-extra", type=int, default=2,
                     help="candidate K runs to true K plus this")
     pb.add_argument("--kmax", type=int, default=6, help="candidate K cap (polblogs)")

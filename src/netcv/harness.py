@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import load_edge_list, largest_connected_component
 from .models import sample, sim1_params, sim2_params, sim3_params
-from .ncv import _run_on, candidate_grid, canonical_loss, ncv_select, repeat_ncv
+from .ncv import _MODEL_ORDER, _run_on, candidate_grid, canonical_loss, ncv_select, repeat_ncv
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +71,9 @@ class ExperimentSpec:
             self.r = tuple(float(x) for x in self.r)
         if self.n1 is not None:
             self.n1 = tuple(int(x) for x in self.n1)
-        if not set(self.model) <= {"sbm", "dcbm"}:
-            raise ValueError(f"model entries must be 'sbm' or 'dcbm', got {self.model}")
+        if not set(self.model) <= _MODEL_ORDER.keys():
+            names = " or ".join(map(repr, _MODEL_ORDER))
+            raise ValueError(f"model entries must be {names}, got {self.model}")
 
 
 def _write_csv(path_or_file, columns, rows):
@@ -219,7 +220,7 @@ def run_sim3(spec: ExperimentSpec) -> SuccessTable:
     table = SuccessTable("sim3", spec.seed, cols)
     grid = [(model, K) for model in spec.model for K in spec.K]
     sels_of = _select_cells(spec, "sim3", [
-        ((0 if model == "sbm" else 1, K), candidate_grid(("sbm", "dcbm"), K + spec.kmax_extra),
+        ((_MODEL_ORDER[model], K), candidate_grid(_MODEL_ORDER, K + spec.kmax_extra),
          partial(sim3_params, spec.n, K, model)) for model, K in grid])
     for (model, K), sels in zip(grid, sels_of):
         type_hits = sum(1 for s in sels if s.model == model)
@@ -255,7 +256,7 @@ def run_polblogs(path, reps: int = 10, V: int = 3, seed: int = 0,
     A, _ = load_edge_list(path)
     A_lcc, kept = largest_connected_component(A)
     logger.info("largest connected component: %d of %d nodes", kept.size, A.shape[0])
-    candidates = candidate_grid(("sbm", "dcbm"), kmax)
+    candidates = candidate_grid(_MODEL_ORDER, kmax)
     result = repeat_ncv(A_lcc, candidates, V, loss, reps, master_seed=seed, threads=threads)
     cols = ["which", "n_lcc", "model", "K", "count", "freq", "reps", "seed"]
     table = SuccessTable("polblogs", seed, cols)

@@ -5,7 +5,8 @@ model, where the probability of an edge depends only on the community
 labels of its endpoints, and the degree-corrected variant, which
 multiplies that probability by a per-node activeness factor psi
 (block-wise max of psi fixed to 1 for identifiability; the plain model
-is the special case psi = 1).
+is the special case psi = 1).  Both parameter types share one base, and
+the plain model's ``psi`` is None, as in ``BlockFit``.
 
 ``sample`` draws a graph straight into the canonical float CSR array
 that ``netcv.graphs.check_adjacency`` passes through as is.  It draws
@@ -23,7 +24,7 @@ experiment designs in :mod:`netcv.harness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -52,14 +53,20 @@ def check_block_matrix(B: np.ndarray, k: int) -> None:
         raise ValueError("block matrix entries must lie in [0, 1]")
 
 
+def _positive_activeness(values) -> np.ndarray:
+    """values as floats; ValueError unless each is finite and positive."""
+    psi = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(psi) & (psi > 0.0)):
+        raise ValueError("activeness entries must be finite and positive")
+    return psi
+
+
 def check_degree_params(psi: np.ndarray, g: np.ndarray, k: int) -> None:
     """Raise ValueError unless psi is finite and positive with block-wise
     maximum 1 (a community with no node has no maximum to check)."""
-    psi = np.asarray(psi, dtype=float)
+    psi = _positive_activeness(psi)
     if psi.shape != np.asarray(g).shape:
         raise ValueError("psi must have one entry per node")
-    if not np.all(np.isfinite(psi) & (psi > 0.0)):
-        raise ValueError("activeness entries must be finite and positive")
     for c in range(1, k + 1):
         members = psi[np.asarray(g) == c]
         if members.size == 0:
@@ -70,12 +77,13 @@ def check_degree_params(psi: np.ndarray, g: np.ndarray, k: int) -> None:
 
 
 @dataclass(frozen=True)
-class SbmParams:
-    """Stochastic block model: membership g (labels 1..k) and block matrix B."""
+class _BlockParams:
+    """g (labels 1..k) and B, as both families hold them; here ``psi`` is None."""
 
     g: np.ndarray
     k: int
     B: np.ndarray
+    psi = None
 
     def __post_init__(self):
         object.__setattr__(self, "g", _frozen_array(self.g, dtype=np.int64))
@@ -89,25 +97,20 @@ class SbmParams:
 
 
 @dataclass(frozen=True)
-class DcbmParams:
+class SbmParams(_BlockParams):
+    """Stochastic block model: (g, B), with ``psi`` None (every activeness 1)."""
+
+
+@dataclass(frozen=True)
+class DcbmParams(_BlockParams):
     """Degree-corrected block model: (g, B) plus node activeness psi."""
 
-    g: np.ndarray
-    k: int
-    B: np.ndarray
-    psi: np.ndarray
+    psi: np.ndarray = field()  # required: field() hides the base's default
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _frozen_array(self.g, dtype=np.int64))
-        object.__setattr__(self, "B", _frozen_array(self.B))
+        super().__post_init__()
         object.__setattr__(self, "psi", _frozen_array(self.psi))
-        check_membership(self.g, self.k)
-        check_block_matrix(self.B, self.k)
         check_degree_params(self.psi, self.g, self.k)
-
-    @property
-    def n(self) -> int:
-        return self.g.size
 
 
 def expected_P(params) -> np.ndarray:
@@ -116,7 +119,7 @@ def expected_P(params) -> np.ndarray:
     but never sampled."""
     idx = params.g - 1
     P = params.B[np.ix_(idx, idx)]
-    if isinstance(params, DcbmParams):
+    if params.psi is not None:
         P = P * np.outer(params.psi, params.psi)
     return P
 
@@ -130,7 +133,7 @@ def _max_probability(params) -> float:
     """
     present = np.flatnonzero(np.bincount(params.g - 1, minlength=params.k))
     B = params.B[np.ix_(present, present)]
-    if isinstance(params, DcbmParams):
+    if params.psi is not None:
         m = np.zeros(params.k)
         np.maximum.at(m, params.g - 1, params.psi)
         B = B * np.outer(m[present], m[present])
@@ -167,7 +170,6 @@ def _upper_triangle(params, p_max: float, rng: np.random.Generator) -> csr_array
     """
     n = params.n
     g = params.g - 1
-    psi = params.psi if isinstance(params, DcbmParams) else None
     ends = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # ends[r]: pairs in rows < r
     counts = np.zeros(n, dtype=np.int64)
     hit_cols = [np.empty(0, dtype=np.int32)]
@@ -181,8 +183,8 @@ def _upper_triangle(params, p_max: float, rng: np.random.Generator) -> csr_array
         rows = np.searchsorted(ends[start:stop], pair, "right") + (start - 1)
         cols = pair - ends[rows] + rows + 1
         P = params.B[g[rows], g[cols]]
-        if psi is not None:
-            P = P * (psi[rows] * psi[cols])
+        if params.psi is not None:
+            P = P * (params.psi[rows] * params.psi[cols])
         hits = u[near] < P
         counts[start:stop] = np.bincount(rows[hits] - start, minlength=stop - start)
         hit_cols.append(cols[hits].astype(np.int32))
@@ -208,8 +210,8 @@ def _multinomial_membership(n: int, k: int, rng: np.random.Generator) -> np.ndar
 
 def normalize_activeness(psi_raw: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """Divide psi by its block-wise maximum so each non-empty community's
-    max is exactly 1."""
-    psi = np.asarray(psi_raw, dtype=float).copy()
+    max is exactly 1; ValueError unless every entry is finite and positive."""
+    psi = _positive_activeness(psi_raw).copy()
     for c in range(1, k + 1):
         mask = np.asarray(g) == c
         if mask.any():

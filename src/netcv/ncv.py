@@ -30,8 +30,8 @@ from .spectral import (SingularBasis, top_k_right_singular, spectral_cluster_rec
 
 logger = logging.getLogger(__name__)
 
-_LOSS_ALIASES = {"l2": "squared", "squared": "squared",
-                 "nll": "negloglik", "negloglik": "negloglik"}
+_LOSS_ALIASES = {"nll": "negloglik", "l2": "squared",
+                 "negloglik": "negloglik", "squared": "squared"}
 _MODEL_ORDER = {"sbm": 0, "dcbm": 1}
 _LOSS_BLOCK = 1 << 18  # entries of one row chunk of the degree-corrected held-out loss
 
@@ -104,11 +104,12 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
     probability B' is constant on each label pair, so its loss is
     sum_ab [m_ab L(1, B'_ab) + (n_ab - m_ab) L(0, B'_ab)], from the ordered
     edge and pair counts m_ab and n_ab among N_v that the fit's own
-    product gives.  A is a 0/1 adjacency as a CSR array, the form
-    ``check_adjacency`` returns.  A precomputed SingularBasis of the
-    rectangle may be passed to share the SVD across candidates, and so
-    may the rectangle's rows, the sorted nodes outside N_v, to share them
-    across the fold's cells.
+    product gives.  A is a 0/1 adjacency with a zero diagonal, dense or
+    CSR (the form ``check_adjacency`` returns; its held-out block then
+    shares A's arrays).  A precomputed SingularBasis of the rectangle may
+    be passed to share the SVD across candidates, and so may the
+    rectangle's rows, the sorted nodes outside N_v, to share them across
+    the fold's cells.
     """
     check_candidate(candidate)
     kind = canonical_loss(fn)
@@ -129,8 +130,8 @@ def fold_fit_validate(A, partition, v: int, candidate: Candidate, fn: str,
         p = clamp_probs(fit.B_hat)
         return float((edges * _loss_array(kind, 1.0, p)
                       + (pairs - edges) * _loss_array(kind, 0.0, p)).sum())
-    return _degree_corrected_loss(kind, A[Nv][:, Nv], fit.B_hat, fit.g_hat[Nv] - 1,
-                                  fit.psi_hat[Nv])
+    return _degree_corrected_loss(kind, csr_array(A[Nv][:, Nv]), fit.B_hat,
+                                  fit.g_hat[Nv] - 1, fit.psi_hat[Nv])
 
 
 def _degree_corrected_loss(kind, A_vv, B, g, psi):
@@ -194,24 +195,19 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _worker_count(threads, n_tasks, cpus):
+def _process_count(threads, n_tasks):
     """Processes to run ``n_tasks`` tasks on: at most ``threads`` (every
     usable CPU when None), one per task and one per usable CPU; 1 means
-    no pool."""
-    return min(threads or cpus, n_tasks, cpus)
-
-
-def _process_count(threads, n_tasks):
-    """``_worker_count`` on the usable CPUs, or 1 where no pool may fork:
-    on a platform that cannot fork, in a daemonic process (a
-    multiprocessing pool's worker, which may not start children), and
-    while other threads run (a child forked then can deadlock on a lock
-    another thread held)."""
+    no pool.  Also 1 where no pool may fork: on a platform that cannot
+    fork, in a daemonic process (a multiprocessing pool's worker, which
+    may not start children), and while other threads run (a child forked
+    then can deadlock on a lock another thread held)."""
     if (multiprocessing.current_process().daemon
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
-    return _worker_count(threads, n_tasks, _usable_cpus())
+    cpus = _usable_cpus()
+    return min(threads or cpus, n_tasks, cpus)
 
 
 def _run_on(threads, fn, shared, tasks, after=None):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def test_simulate_dcbm_rejects_nan_psi(tmp_path, capsys):
                  "--output", str(out)])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_dcbm_rejects_a_zero_activeness_community(tmp_path, capsys):
+    psi_path = tmp_path / "psi.txt"
+    psi_path.write_text("0\n0\n0\n1\n0.5\n0.5\n")  # community 1 all zero
+    out = tmp_path / "d.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "dcbm", "--n", "6", "--k", "2", "--b-diag", "0.8",
+                     "--b-off", "0.1", "--psi-file", str(psi_path), "--seed", "3",
+                     "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: activeness entries must be finite and positive\n"
     assert not out.exists()
 
 

@@ -137,8 +137,9 @@ def test_run_sim1_bitwise_reproducible():
     (10**6, 5, 2, 2),
     (4, 0, 4, 0),
 ])
-def test_worker_count_is_capped(threads, n_tasks, cpus, expected):
-    assert netcv.ncv._worker_count(threads, n_tasks, cpus) == expected
+def test_worker_count_is_capped(threads, n_tasks, cpus, expected, monkeypatch):
+    monkeypatch.setattr(netcv.ncv, "_usable_cpus", lambda: cpus)
+    assert netcv.ncv._process_count(threads, n_tasks) == expected
 
 
 def _marked_task(marks, busy_in_caller, caller, i, n):

@@ -1,5 +1,6 @@
 """Block-model parameter containers, samplers and simulation presets."""
 
+import pickle
 import re
 import tracemalloc
 
@@ -75,6 +76,43 @@ def test_dcbm_params_rejects_non_finite_psi(bad):
     psi = np.array([1.0, bad, 0.5, 1.0, 0.7, 0.7])
     with pytest.raises(ValueError, match="finite"):
         DcbmParams(g=g, k=2, B=B, psi=psi)
+
+
+def test_plain_params_have_no_psi_and_the_families_stay_apart():
+    g = np.repeat([1, 2], 3)
+    B = np.array([[0.5, 0.1], [0.1, 0.5]])
+    plain = SbmParams(g=g, k=2, B=B)
+    degree = DcbmParams(g=g, k=2, B=B, psi=np.ones(6))
+    assert plain.psi is None
+    assert not isinstance(degree, SbmParams)
+    assert not isinstance(plain, DcbmParams)
+    with pytest.raises(TypeError, match="psi"):
+        DcbmParams(g=g, k=2, B=B)
+
+
+def test_params_survive_a_pickle_round_trip():
+    g = np.repeat([1, 2], 3)
+    B = np.array([[0.5, 0.1], [0.1, 0.5]])
+    psi = np.array([1.0, 0.5, 0.5, 1.0, 0.7, 0.7])
+    for p in (SbmParams(g=g, k=2, B=B), DcbmParams(g=g, k=2, B=B, psi=psi)):
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is type(p) and q.k == p.k and q.n == p.n
+        assert np.array_equal(q.g, p.g) and np.array_equal(q.B, p.B)
+        assert (q.psi is None) == (p.psi is None)
+        assert p.psi is None or np.array_equal(q.psi, p.psi)
+
+
+def test_sbm_samples_as_the_dcbm_with_unit_psi():
+    rng = np.random.default_rng(11)
+    plain = sim3_params(150, 3, "sbm", rng)
+    degree = DcbmParams(g=plain.g, k=plain.k, B=plain.B, psi=np.ones(plain.n))
+    assert np.array_equal(expected_P(plain), expected_P(degree))
+    r1, r2 = np.random.default_rng(12), np.random.default_rng(12)
+    A1, A2 = sample(plain, r1), sample(degree, r2)
+    assert A1.nnz > 0
+    for a, b in [(A1.indptr, A2.indptr), (A1.indices, A2.indices), (A1.data, A2.data)]:
+        assert np.array_equal(a, b)
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 # ---------------------------------------------------------------- expected_P

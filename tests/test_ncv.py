@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import netcv.ncv
 from netcv.graphs import check_adjacency, partition_nodes
-from netcv.models import SbmParams, sample, sim1_params
+from netcv.models import SbmParams, sample, sim1_params, sim3_params
 from netcv.ncv import (Candidate, _loss_array, candidate_grid, canonical_loss,
                        fold_fit_validate, ncv_select, repeat_ncv)
 from test_estimators import predicted_P
@@ -64,6 +64,18 @@ def test_noiseless_fold_loss_near_zero():
                             "squared", np.random.default_rng(2))
     # exact recovery; only the probability clamp keeps it from literal zero
     assert val < 1e-6
+
+
+@pytest.mark.parametrize("model", ["sbm", "dcbm"])
+@pytest.mark.parametrize("kind", ["nll", "squared"])
+def test_fold_loss_on_dense_input_equals_csr(model, kind):
+    rng = np.random.default_rng(0)
+    A = sample(sim3_params(60, 2, "dcbm", rng), rng)
+    partition = partition_nodes(60, 3, np.random.default_rng(1))
+    for v in range(3):
+        losses = [fold_fit_validate(M, partition, v, Candidate(model, 2), kind,
+                                    np.random.default_rng(2)) for M in (A, A.toarray())]
+        assert losses[0] == losses[1]
 
 
 def test_fold_loss_is_ordered_pair_sum():
